@@ -16,7 +16,6 @@ from .approximation import (
     glover_oracle,
     reduce_singular_schur,
     reduce_singular_svd,
-    regularity_test,
     solve_ap2,
     solve_apinf,
 )
@@ -27,7 +26,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     GammaTooSmall,
-    InfiniteH2Error,
     LeastSquaresInconsistent,
     NegativeSpectrum,
     NoUniqueSolution,

@@ -36,7 +36,6 @@ import scipy.linalg
 
 from .errors import (
     GammaTooSmall,
-    InfiniteH2Error,
     LeastSquaresInconsistent,
     NotStandardForm,
     SpectrumViolation,
@@ -58,7 +57,7 @@ from .systems import (
     empty_system,
     pencil_spectrum,
 )
-from .util import default_tol, fro
+from .util import _is_standard, default_tol, fro
 
 __all__ = [
     "Branch",
@@ -67,7 +66,6 @@ __all__ = [
     "ApproxResult",
     "solve_ap2",
     "construct_gamma_system",
-    "regularity_test",
     "reduce_singular_svd",
     "reduce_singular_schur",
     "glover_oracle",
@@ -153,10 +151,6 @@ def solve_ap2(s: DescriptorSystem, tol: float | None = None) -> ApproxResult:
         sigma1 = 0.0
         diagnostics["error_l2"] = 0.0
     else:
-        if fro(dec.s_minus.d) > tol:
-            # Unreachable: the decomposition assigns the whole feedthrough to
-            # the stable part. Kept as a hard guard on that assumption.
-            raise InfiniteH2Error("antistable part has nonzero feedthrough")
         gr = gramians(dec.s_minus, tol)
         hank = hankel_sigma_max(dec.s_minus, gr, tol)
         sigma1 = hank.sigma1
@@ -230,16 +224,6 @@ def construct_gamma_system(
     )
 
 
-def regularity_test(gs: GammaSystem, tol: float | None = None) -> RegularityVerdict:
-    """Numeric-rank test of the gamma-system A matrix.
-
-    Full rank is equivalent to regularity of the whole pencil and to the
-    spectrum lying in C_{<0} plus infinity, so this one verdict decides
-    between the direct and the reduced (singular) construction.
-    """
-    return _rank_verdict(gs.a_g, default_tol(tol))
-
-
 # ---------------------------------------------------------------------------
 # Singular-branch reductions
 
@@ -254,17 +238,26 @@ def _guard_reducible(gs: GammaSystem) -> None:
         )
 
 
-def _structure_scale(gs: GammaSystem) -> float:
-    return max(1.0, fro(gs.e_g), fro(gs.a_g), fro(gs.b_g))
+def _leading_subsystem(
+    gs: GammaSystem, at, et, bt, ct, rank: int, tol: float
+) -> DescriptorSystem:
+    """Check that rows ``rank:`` of the transformed A, E, B vanish; keep the rest.
 
-
-def _check_zero_block(name: str, block: np.ndarray, bound: float) -> None:
-    err = fro(block)
-    if err > bound:
-        raise StructureViolation(
-            f"{name} block expected to vanish has norm {err:.3e} > {bound:.3e}; "
-            "sigma_1 or the rank was misestimated"
-        )
+    Returns the leading ``rank`` states with the source feedthrough reattached.
+    """
+    if rank == 0:
+        return empty_system(gs.b_g.shape[1], gs.c_g.shape[0], gs.source.d)
+    bound = tol * max(1.0, fro(gs.e_g), fro(gs.a_g), fro(gs.b_g))
+    for name, block in (("A", at), ("E", et), ("B", bt)):
+        err = fro(block[rank:, :])
+        if err > bound:
+            raise StructureViolation(
+                f"{name} block expected to vanish has norm {err:.3e} > {bound:.3e}; "
+                "sigma_1 or the rank was misestimated"
+            )
+    return DescriptorSystem(
+        et[:rank, :rank], at[:rank, :rank], bt[:rank, :], ct[:, :rank], gs.source.d
+    )
 
 
 def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> DescriptorSystem:
@@ -278,25 +271,14 @@ def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> Descriptor
     """
     tol = default_tol(tol)
     _guard_reducible(gs)
-    m_in = gs.b_g.shape[1]
-    p_out = gs.c_g.shape[0]
     res = svd(gs.a_g, tol)
-    rank = res.numeric_rank
-    if rank == 0:
-        return empty_system(m_in, p_out, gs.source.d)
     u_t = res.u.T
     v = res.v
     at = u_t @ gs.a_g @ v
     et = u_t @ gs.e_g @ v
     bt = u_t @ gs.b_g
     ct = gs.c_g @ v
-    bound = tol * _structure_scale(gs)
-    _check_zero_block("A", at[rank:, :], bound)
-    _check_zero_block("E", et[rank:, :], bound)
-    _check_zero_block("B", bt[rank:, :], bound)
-    return DescriptorSystem(
-        et[:rank, :rank], at[:rank, :rank], bt[:rank, :], ct[:, :rank], gs.source.d
-    )
+    return _leading_subsystem(gs, at, et, bt, ct, res.numeric_rank, tol)
 
 
 def reduce_singular_schur(gs: GammaSystem, tol: float | None = None) -> DescriptorSystem:
@@ -308,28 +290,17 @@ def reduce_singular_schur(gs: GammaSystem, tol: float | None = None) -> Descript
     E_gamma and B_gamma. Produces the same transfer as the SVD route.
     """
     tol = default_tol(tol)
-    src = gs.source
-    if fro(src.e - np.eye(src.n)) > tol * max(1.0, fro(src.e)):
+    if not _is_standard(gs.source.e, tol):
         raise NotStandardForm("the Schur reduction requires a standard-form source (E = I)")
     _guard_reducible(gs)
-    m_in = gs.b_g.shape[1]
-    p_out = gs.c_g.shape[0]
     q, t = real_schur(gs.a_g, tol)
     eigs = schur_eigenvalues(t)
     zero_thresh = tol * fro(gs.a_g)
     rank = int(np.count_nonzero(np.abs(eigs) > zero_thresh))
-    if rank == 0:
-        return empty_system(m_in, p_out, src.d)
     et = q @ gs.e_g @ q.T
     bt = q @ gs.b_g
     ct = gs.c_g @ q.T
-    bound = tol * _structure_scale(gs)
-    _check_zero_block("A", t[rank:, rank:], bound)
-    _check_zero_block("E", et[rank:, :], bound)
-    _check_zero_block("B", bt[rank:, :], bound)
-    return DescriptorSystem(
-        et[:rank, :rank], t[:rank, :rank], bt[:rank, :], ct[:, :rank], src.d
-    )
+    return _leading_subsystem(gs, t, et, bt, ct, rank, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +416,12 @@ def solve_apinf(
     if not use_singular:
         approx_minus = DescriptorSystem(gs.e_g, gs.a_g, gs.b_g, gs.c_g, dec.s_minus.d)
         branch = Branch.REGULAR
+    elif _is_standard(dec.s_minus.e, tol):
+        approx_minus = reduce_singular_schur(gs, tol)
+        branch = Branch.SINGULAR_SCHUR
     else:
-        standard = fro(dec.s_minus.e - np.eye(dec.s_minus.n)) <= tol * max(
-            1.0, fro(dec.s_minus.e)
-        )
-        if standard:
-            approx_minus = reduce_singular_schur(gs, tol)
-            branch = Branch.SINGULAR_SCHUR
-        else:
-            approx_minus = reduce_singular_svd(gs, tol)
-            branch = Branch.SINGULAR_SVD
+        approx_minus = reduce_singular_svd(gs, tol)
+        branch = Branch.SINGULAR_SVD
 
     system = direct_sum(dec.s_plus, approx_minus)
     rep = pencil_spectrum(system, tol)

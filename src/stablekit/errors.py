@@ -23,7 +23,6 @@ __all__ = [
     "NotMinimal",
     "LeastSquaresInconsistent",
     "GammaTooSmall",
-    "InfiniteH2Error",
     "StructureViolation",
     "NotStandardForm",
     "ParseError",
@@ -109,10 +108,6 @@ class LeastSquaresInconsistent(StablekitError):
 
 class GammaTooSmall(StablekitError):
     """Requested gamma lies below the largest Hankel singular value."""
-
-
-class InfiniteH2Error(StablekitError):
-    """The L2 distance is infinite (non-vanishing response at infinity)."""
 
 
 class StructureViolation(StablekitError):

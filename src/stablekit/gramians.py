@@ -33,12 +33,13 @@ from .systems import (
     DescriptorSystem,
     StabilityClass,
     additive_decompose,
+    empty_system,
     frequency_response,
     pencil_spectrum,
     transfer_polynomial_part,
     weierstrass_split,
 )
-from .util import default_tol, fro
+from .util import _is_standard, default_tol, fro
 
 __all__ = [
     "GramianPair",
@@ -397,32 +398,8 @@ def linf_of(
     reltol: float = 1e-8,
     tol: float | None = None,
 ) -> FrequencyGrid:
-    """Sampled L-infinity norm of a single transfer function."""
-    tol = default_tol(tol)
-
-    def evaluate(ws: np.ndarray) -> np.ndarray:
-        try:
-            g = frequency_response(s, ws)
-        except AtPole as exc:
-            raise NonFiniteSample(str(exc)) from exc
-        return _spectral_norms(g)
-
-    coeffs = transfer_polynomial_part(s, tol)
-    if coeffs.shape[0] > 1:
-        vinf = float("inf")
-    elif s.p == 0 or s.m == 0:
-        vinf = 0.0
-    else:
-        vinf = float(np.linalg.norm(coeffs[0], 2))
-    cfg = LinfConfig(
-        wmin=wmin,
-        wmax=wmax,
-        n0=n0,
-        reltol=reltol,
-        rho=_pole_scale(s, tol=tol),
-        value_at_inf=vinf,
-    )
-    return linf_norm(evaluate, cfg)
+    """Sampled L-infinity norm of a single transfer function: the error to G = 0."""
+    return linf_error(s, empty_system(s.m, s.p), wmin, wmax, n0, reltol, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +432,7 @@ def balanced_realization(
     """Square-root balancing of a minimal antistable standard system."""
     tol = default_tol(tol)
     n = s.n
-    if fro(s.e - np.eye(n)) > tol * max(1.0, fro(s.e)):
+    if not _is_standard(s.e, tol):
         raise NotStandardForm("balancing requires E = I")
     rep = pencil_spectrum(s, tol)
     if rep.stability_class is not StabilityClass.ANTISTABLE:

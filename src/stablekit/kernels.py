@@ -88,7 +88,9 @@ class OrderedQz:
 
     ``u`` and ``v`` are orthogonal, ``et``/``at`` quasi-upper-triangular, and
     ``split`` is the size of the leading block whose pencil spectrum lies in
-    the selected region.
+    the selected region. ``alpha``/``beta`` are the generalized eigenvalue
+    data of the reordered diagonal, so ``[:split]`` belongs to the leading
+    block and ``[split:]`` to the trailing one.
     """
 
     u: np.ndarray
@@ -96,6 +98,8 @@ class OrderedQz:
     et: np.ndarray
     at: np.ndarray
     split: int
+    alpha: np.ndarray
+    beta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,12 +155,12 @@ def infinite_eigenvalue_threshold(e: np.ndarray, a: np.ndarray, tol: float) -> f
     return max(tol * fro(e), n * EPS * 32.0 * (fro(e) + fro(a)))
 
 
-def pencil_eigendata(e, a, tol: float | None = None):
+def pencil_eigendata(e, a):
     """Generalized eigenvalue data (alpha, beta) of the pencil (E, A).
 
-    Eigenvalues are alpha/beta; beta below ``tol * ||E||_F`` marks an
-    infinite eigenvalue. Raises SingularPencil when the pencil has no
-    well-defined spectrum.
+    Eigenvalues are alpha/beta; beta below ``infinite_eigenvalue_threshold``
+    marks an infinite eigenvalue. Raises SingularPencil when the pencil has
+    no well-defined spectrum.
 
     Returns
     -------
@@ -193,7 +197,10 @@ def qz_ordered(e, a, selector: EigenvalueSelector, tol: float | None = None) -> 
         raise SingularPencil(f"E and A must have equal sizes, got {e.shape} and {a.shape}")
     if n == 0:
         empty = np.zeros((0, 0))
-        return OrderedQz(u=empty, v=empty.copy(), et=e.copy(), at=a.copy(), split=0)
+        return OrderedQz(
+            u=empty, v=empty.copy(), et=e.copy(), at=a.copy(), split=0,
+            alpha=np.zeros(0, dtype=complex), beta=np.zeros(0),
+        )
 
     inf_thresh = infinite_eigenvalue_threshold(e, a, tol)
 
@@ -218,7 +225,7 @@ def qz_ordered(e, a, selector: EigenvalueSelector, tol: float | None = None) -> 
         raise ConvergenceFailure(f"QZ iteration failed: {exc}") from exc
     _regularity_check(alpha, beta, e, a)
     split = int(np.count_nonzero(picked(alpha, beta)))
-    return OrderedQz(u=q.T, v=z, et=et, at=at, split=split)
+    return OrderedQz(u=q.T, v=z, et=et, at=at, split=split, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import (
     SpectrumViolation,
 )
 from .kernels import (
+    _regularity_check,
     all_finite,
     infinite_eigenvalue_threshold,
     pencil_eigendata,
@@ -52,7 +53,7 @@ __all__ = [
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
-    m = np.ascontiguousarray(m, dtype=np.float64)
+    m = np.ascontiguousarray(m)
     m.flags.writeable = False
     return m
 
@@ -61,10 +62,12 @@ class DescriptorSystem:
     """Immutable descriptor system (E, A, B, C, D).
 
     Construction validates dimensions, finiteness, and pencil regularity;
-    every downstream operation may therefore assume a regular pencil.
+    every downstream operation may therefore assume a regular pencil. The
+    pencil eigendata (alpha, beta) of that validation is kept, so spectral
+    questions about the system need no further factorization.
     """
 
-    __slots__ = ("e", "a", "b", "c", "d")
+    __slots__ = ("e", "a", "b", "c", "d", "_alpha", "_beta")
 
     def __init__(self, e, a, b, c, d=None):
         e = as_matrix(e, "E")
@@ -86,13 +89,12 @@ class DescriptorSystem:
             d = as_matrix(d, "D")
         if d.shape != (p, m):
             raise DimensionMismatch(f"D must be {p}x{m}, got {d.shape}")
-        if n > 0:
-            pencil_eigendata(e, a)  # raises SingularPencil when degenerate
-        self.e = _frozen(e)
-        self.a = _frozen(a)
-        self.b = _frozen(b)
-        self.c = _frozen(c)
-        self.d = _frozen(d)
+        # pencil_eigendata raises SingularPencil when the pencil is degenerate.
+        self._store(e, a, b, c, d, *pencil_eigendata(e, a))
+
+    def _store(self, e, a, b, c, d, alpha, beta) -> None:
+        for name, m in zip(self.__slots__, (e, a, b, c, d, alpha, beta)):
+            setattr(self, name, _frozen(m))
 
     @property
     def n(self) -> int:
@@ -110,6 +112,19 @@ class DescriptorSystem:
         return f"DescriptorSystem(n={self.n}, m={self.m}, p={self.p})"
 
 
+def _known_spectrum(e, a, b, c, d, alpha, beta) -> DescriptorSystem:
+    """A system whose pencil eigendata (alpha, beta) is known by construction.
+
+    Serves QZ diagonal blocks, direct sums and sign flips of validated
+    systems: the constructor's regularity criterion runs on the given data
+    instead of on a fresh factorization.
+    """
+    _regularity_check(alpha, beta, e, a)
+    s = object.__new__(DescriptorSystem)
+    s._store(e, a, b, c, d, alpha, beta)
+    return s
+
+
 def empty_system(m: int, p: int, d=None) -> DescriptorSystem:
     """The order-0 system with constant transfer D (zero when omitted)."""
     if d is None:
@@ -121,7 +136,7 @@ def empty_system(m: int, p: int, d=None) -> DescriptorSystem:
 
 def negate_output(s: DescriptorSystem) -> DescriptorSystem:
     """The system realizing -G(s); used to form error systems S + (-S_hat)."""
-    return DescriptorSystem(s.e, s.a, s.b, -np.asarray(s.c), -np.asarray(s.d))
+    return _known_spectrum(s.e, s.a, s.b, -s.c, -s.d, s._alpha, s._beta)
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +172,13 @@ def pencil_spectrum(s: DescriptorSystem, tol: float | None = None) -> SpectrumRe
     Stable means every finite eigenvalue has Re < 0 (infinite allowed);
     antistable means every eigenvalue is finite with Re > 0 (E regular).
     Finite eigenvalues within the band |Re| <= tol * (1 + |lambda|) are
-    classified as axis eigenvalues.
+    classified as axis eigenvalues. Reads the eigendata stored at
+    construction; every threshold comes from the system's own E and A.
     """
     tol = default_tol(tol)
-    if s.n == 0:
-        return SpectrumReport(
-            finite_eigenvalues=np.zeros(0, dtype=complex),
-            has_infinite=False,
-            n_infinite=0,
-            stability_class=StabilityClass.STABLE,
-            margin=float("inf"),
-        )
-    alpha, beta = pencil_eigendata(s.e, s.a, tol)
-    inf_mask = np.abs(beta) <= infinite_eigenvalue_threshold(s.e, s.a, tol)
+    inf_mask = np.abs(s._beta) <= infinite_eigenvalue_threshold(s.e, s.a, tol)
     n_inf = int(np.count_nonzero(inf_mask))
-    finite = alpha[~inf_mask] / beta[~inf_mask]
+    finite = s._alpha[~inf_mask] / s._beta[~inf_mask]
     order = np.lexsort((finite.imag, finite.real))
     finite = finite[order]
 
@@ -249,7 +256,7 @@ def transfer_polynomial_part(s: DescriptorSystem, tol: float | None = None) -> n
     with T_0 = D for a system with regular E. l > 1 means G is improper.
     """
     tol = default_tol(tol)
-    if s.n == 0:
+    if not pencil_spectrum(s, tol).has_infinite:
         return s.d[None, :, :].copy()
     ws = weierstrass_split(s, tol)
     coeffs = [np.asarray(s.d, dtype=np.float64).copy()]
@@ -299,7 +306,9 @@ def direct_sum(s1: DescriptorSystem, s2: DescriptorSystem) -> DescriptorSystem:
     b = np.vstack([s1.b, s2.b])
     c = np.hstack([s1.c, s2.c])
     d = s1.d + s2.d
-    return DescriptorSystem(e, a, b, c, d)
+    alpha = np.concatenate([s1._alpha, s2._alpha])
+    beta = np.concatenate([s1._beta, s2._beta])
+    return _known_spectrum(e, a, b, c, d, alpha, beta)
 
 
 def rse_transform(p, s: DescriptorSystem, q) -> DescriptorSystem:
@@ -321,6 +330,35 @@ def rse_transform(p, s: DescriptorSystem, q) -> DescriptorSystem:
         if sv[0] == 0.0 or sv[-1] <= default_tol() * sv[0]:
             raise SingularTransform(f"{name} is numerically rank-deficient")
     return DescriptorSystem(p @ s.e @ q, p @ s.a @ q, p @ s.b, s.c @ q, s.d)
+
+
+# ---------------------------------------------------------------------------
+# Block split shared by the Weierstrass split and the additive decomposition
+
+
+def _block_split(s: DescriptorSystem, selector, tol: float):
+    """Ordered QZ of (E, A) plus Sylvester decoupling of its two blocks.
+
+    Returns ``(oq, p, q)``: P (E, A) Q is block diagonal with the diagonal
+    blocks of ``oq.et``/``oq.at`` split at ``oq.split``, the leading block
+    carrying the eigenvalues the selector picks.
+    """
+    oq = qz_ordered(s.e, s.a, selector, tol)
+    k = oq.split
+    n = s.n
+    e1, e2, e3 = oq.et[:k, :k], oq.et[:k, k:], oq.et[k:, k:]
+    a1, a2, a3 = oq.at[:k, :k], oq.at[:k, k:], oq.at[k:, k:]
+    if k == 0 or k == n:
+        r = l = np.zeros((k, n - k))
+    else:
+        r, l = solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol)
+    p_mat = np.block(
+        [[np.eye(k), -l], [np.zeros((n - k, k)), np.eye(n - k)]]
+    ) @ oq.u
+    q_mat = oq.v @ np.block(
+        [[np.eye(k), r], [np.zeros((n - k, k)), np.eye(n - k)]]
+    )
+    return oq, p_mat, q_mat
 
 
 # ---------------------------------------------------------------------------
@@ -350,29 +388,13 @@ class WeierstrassSplit:
 def weierstrass_split(s: DescriptorSystem, tol: float | None = None) -> WeierstrassSplit:
     """Split a system into its finite (standard) and infinite (nilpotent) parts."""
     tol = default_tol(tol)
-    oq = qz_ordered(s.e, s.a, all_finite(), tol)
+    oq, p_mat, q_mat = _block_split(s, all_finite(), tol)
     k = oq.split
     n = s.n
-    e1 = oq.et[:k, :k]
-    e2 = oq.et[:k, k:]
-    e3 = oq.et[k:, k:]
-    a1 = oq.at[:k, :k]
-    a2 = oq.at[:k, k:]
-    a3 = oq.at[k:, k:]
-    if k == 0 or k == n:
-        r = np.zeros((k, n - k))
-        l = np.zeros((k, n - k))
-    else:
-        r, l = solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol)
-
-    # Decoupling transforms, then a scaling that makes the finite block
-    # standard (identity E) and the infinite block's A identity.
-    p_mat = np.block(
-        [[np.eye(k), -l], [np.zeros((n - k, k)), np.eye(n - k)]]
-    ) @ oq.u
-    q_mat = oq.v @ np.block(
-        [[np.eye(k), r], [np.zeros((n - k, k)), np.eye(n - k)]]
-    )
+    e1, e3 = oq.et[:k, :k], oq.et[k:, k:]
+    a1, a3 = oq.at[:k, :k], oq.at[k:, k:]
+    # Scale the decoupled blocks: the finite block gets identity E, the
+    # infinite block identity A.
     if k > 0:
         p_top = scipy.linalg.solve(e1, p_mat[:k, :])
         j = scipy.linalg.solve(e1, a1)
@@ -445,27 +467,25 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
             s_plus=s, s_minus=empty_system(s.m, s.p), p=eye, q=eye.copy()
         )
     if rep.stability_class is StabilityClass.ANTISTABLE:
-        s_minus = DescriptorSystem(s.e, s.a, s.b, s.c, np.zeros((s.p, s.m)))
+        s_minus = _known_spectrum(
+            s.e, s.a, s.b, s.c, np.zeros((s.p, s.m)), s._alpha, s._beta
+        )
         return AdditiveDecomposition(
             s_plus=empty_system(s.m, s.p, s.d), s_minus=s_minus, p=eye, q=eye.copy()
         )
 
-    oq = qz_ordered(s.e, s.a, stable_or_infinite(), tol)
+    oq, p_mat, q_mat = _block_split(s, stable_or_infinite(), tol)
     k = oq.split
-    n = s.n
-    e1, e2, e3 = oq.et[:k, :k], oq.et[:k, k:], oq.et[k:, k:]
-    a1, a2, a3 = oq.at[:k, :k], oq.at[:k, k:], oq.at[k:, k:]
-    r, l = solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol)
-    p_mat = np.block(
-        [[np.eye(k), -l], [np.zeros((n - k, k)), np.eye(n - k)]]
-    ) @ oq.u
-    q_mat = oq.v @ np.block(
-        [[np.eye(k), r], [np.zeros((n - k, k)), np.eye(n - k)]]
-    )
     b_t = p_mat @ s.b
     c_t = s.c @ q_mat
-    s_plus = DescriptorSystem(e1, a1, b_t[:k, :], c_t[:, :k], s.d)
-    s_minus = DescriptorSystem(e3, a3, b_t[k:, :], c_t[:, k:], np.zeros((s.p, s.m)))
+    s_plus = _known_spectrum(
+        oq.et[:k, :k], oq.at[:k, :k], b_t[:k, :], c_t[:, :k], s.d,
+        oq.alpha[:k], oq.beta[:k],
+    )
+    s_minus = _known_spectrum(
+        oq.et[k:, k:], oq.at[k:, k:], b_t[k:, :], c_t[:, k:], np.zeros((s.p, s.m)),
+        oq.alpha[k:], oq.beta[k:],
+    )
     # The selector routed eigenvalues; reclassify to catch borderline drift.
     if pencil_spectrum(s_plus, tol).stability_class is not StabilityClass.STABLE:
         raise SpectrumViolation("separated slow part failed the stability check")

@@ -22,7 +22,6 @@ from stablekit import (
     pencil_spectrum,
     reduce_singular_schur,
     reduce_singular_svd,
-    regularity_test,
     response_at_infinity,
     rse_transform,
     solve_ap2,
@@ -233,27 +232,16 @@ def test_gamma_covariance_under_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# regularity_test
+# regularity verdict
 
 
 def test_regularity_verdicts():
-    assert regularity_test(gamma_system_of(NEHARI, 0.5)).is_regular
-    v = regularity_test(gamma_system_of(ROTATE2, 1.0))
+    assert gamma_system_of(NEHARI, 0.5).regular.is_regular
+    v = gamma_system_of(ROTATE2, 1.0).regular
     assert not v.is_regular
     assert v.rank == 1
-    # full-rank identity (fields besides a_g are irrelevant to the verdict)
-    gs = GammaSystem(
-        e_g=np.zeros((2, 2)),
-        a_g=np.eye(2),
-        b_g=np.zeros((2, 1)),
-        c_g=np.zeros((1, 2)),
-        gamma=1.0,
-        r_g=np.zeros((2, 2)),
-        regular=None,
-        sigma1=1.0,
-        source=NEHARI,
-    )
-    v = regularity_test(gs)
+    # above sigma_1 = 1 the gamma-system A matrix has full rank
+    v = gamma_system_of(ROTATE2, 2.0).regular
     assert v.is_regular and v.rank == 2
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import stablekit.systems as systems
 from stablekit import (
     AtPole,
     AxisEigenvalue,
@@ -17,9 +18,11 @@ from stablekit import (
     empty_system,
     frequency_response,
     gramians,
+    negate_output,
     pencil_spectrum,
     response_at_infinity,
     rse_transform,
+    solve_apinf,
     transfer_eval,
     weierstrass_split,
 )
@@ -409,6 +412,20 @@ def test_decompose_properties_on_random_systems():
         assert_eigen_multisets_close(
             merged, pencil_spectrum(s).finite_eigenvalues, tol=1e-7
         )
+        # eigendata kept by construction agrees with a fresh factorization
+        for t in (
+            dec.s_plus,
+            dec.s_minus,
+            direct_sum(dec.s_plus, dec.s_minus),
+            negate_output(s),
+        ):
+            kept = pencil_spectrum(t)
+            fresh = pencil_spectrum(DescriptorSystem(t.e, t.a, t.b, t.c, t.d))
+            assert kept.stability_class is fresh.stability_class
+            assert kept.n_infinite == fresh.n_infinite
+            assert_eigen_multisets_close(
+                kept.finite_eigenvalues, fresh.finite_eigenvalues, tol=1e-10
+            )
         # transfer additivity on a 64-point grid
         omegas = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 63)])
         for w in omegas:
@@ -417,6 +434,25 @@ def test_decompose_properties_on_random_systems():
                 dec.s_minus, 1j * w
             )
             assert np.linalg.norm(g - gsum) <= 1e-8 * (1.0 + np.linalg.norm(g))
+
+
+def test_solve_factors_the_full_pencil_once(monkeypatch):
+    s = random_unstable_system(40, 2, seed=29, m=2, p=2)
+    sizes = []
+
+    def counted(fn):
+        def wrapper(e, a, *args, **kwargs):
+            sizes.append(np.shape(e)[0])
+            return fn(e, a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("qz_ordered", "pencil_eigendata"):
+        monkeypatch.setattr(systems, name, counted(getattr(systems, name)))
+    pencil_spectrum(s)
+    assert sizes == []
+    solve_apinf(s)
+    assert sizes.count(s.n) == 1
 
 
 def test_decompose_routes_infinite_eigenvalues_to_stable_part():
