@@ -19,6 +19,7 @@ import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
+    DimensionMismatch,
     NonSymmetricInput,
     NoUniqueSolution,
     SingularPencil,
@@ -171,7 +172,7 @@ def pencil_eigendata(e, a):
     a = as_matrix(a, "A")
     n = require_square(e, "E")
     if require_square(a, "A") != n:
-        raise SingularPencil(f"E and A must have equal sizes, got {e.shape} and {a.shape}")
+        raise DimensionMismatch(f"E and A must have equal sizes, got {e.shape} and {a.shape}")
     if n == 0:
         return np.zeros(0, dtype=complex), np.zeros(0)
     # ordqz with an empty selection performs no reordering but still returns
@@ -194,7 +195,7 @@ def qz_ordered(e, a, selector: EigenvalueSelector, tol: float | None = None) -> 
     a = as_matrix(a, "A")
     n = require_square(e, "E")
     if require_square(a, "A") != n:
-        raise SingularPencil(f"E and A must have equal sizes, got {e.shape} and {a.shape}")
+        raise DimensionMismatch(f"E and A must have equal sizes, got {e.shape} and {a.shape}")
     if n == 0:
         empty = np.zeros((0, 0))
         return OrderedQz(
@@ -232,13 +233,33 @@ def qz_ordered(e, a, selector: EigenvalueSelector, tol: float | None = None) -> 
 # Coupled Sylvester equation
 
 
+def _schur_form(a: np.ndarray, e: np.ndarray):
+    """(S, T, Q, Z) with A = Q S Z^T, E = Q T Z^T and (S, T) in real generalized Schur form.
+
+    A pencil already in that form (A zero below its first subdiagonal with no
+    two adjacent nonzero subdiagonal entries, E upper triangular), such as a
+    diagonal block of ``qz_ordered``, is returned as is with identity factors,
+    so no pencil is factored twice.
+    """
+    sub = np.diagonal(a, -1) != 0.0
+    if not (np.tril(a, -2).any() or (sub[1:] & sub[:-1]).any() or np.tril(e, -1).any()):
+        eye = np.eye(a.shape[0])
+        return a, e, eye, eye
+    try:
+        return scipy.linalg.qz(a, e, output="real")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK-dependent
+        raise ConvergenceFailure(f"QZ iteration failed: {exc}") from exc
+
+
 def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None):
     """Solve the coupled pair A1 R - L A3 = -A2 and E1 R - L E3 = -E2.
 
-    The pencils (E1, A1) and (E3, A3) must be regular with disjoint spectra,
-    which is what makes the Kronecker-structured linear system below
-    invertible. Solved by vectorization into one (2kl) x (2kl) dense solve;
-    block sizes here are desk scale.
+    The pencils (E1, A1) and (E3, A3) must be regular with disjoint spectra;
+    otherwise NoUniqueSolution is raised. Each pencil is brought to real
+    generalized Schur form by QZ unless it already is (the diagonal blocks of
+    ``qz_ordered`` are), and the reduced equation is solved by LAPACK
+    ``tgsyl`` (Kagstrom & Poromaa, ACM TOMS 1996). After the reductions the
+    solve costs O(kl(k + l)) time and O(kl) memory.
     """
     tol = default_tol(tol)
     a1 = as_matrix(a1, "A1")
@@ -252,29 +273,26 @@ def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None
     require_square(e1, "E1")
     require_square(e3, "E3")
     if e1.shape[0] != k or a2.shape != (k, l) or e2.shape != (k, l) or e3.shape[0] != l:
-        raise NoUniqueSolution(
+        raise DimensionMismatch(
             "inconsistent block sizes for the coupled Sylvester equation: "
             f"A1 {a1.shape}, A3 {a3.shape}, A2 {a2.shape}, E2 {e2.shape}"
         )
     if k == 0 or l == 0:
         return np.zeros((k, l)), np.zeros((k, l))
 
-    ik = np.eye(k)
-    il = np.eye(l)
-    # Column-major vectorization: vec(A1 R) = (I kron A1) vec(R),
-    # vec(L A3) = (A3^T kron I) vec(L).
-    top = np.hstack([np.kron(il, a1), -np.kron(a3.T, ik)])
-    bot = np.hstack([np.kron(il, e1), -np.kron(e3.T, ik)])
-    lhs = np.vstack([top, bot])
-    rhs = -np.concatenate([a2.flatten(order="F"), e2.flatten(order="F")])
-    try:
-        sol = scipy.linalg.solve(lhs, rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    s1, t1, q1, z1 = _schur_form(a1, e1)
+    s3, t3, q3, z3 = _schur_form(a3, e3)
+    # In the Schur bases the unknowns are Z1^T R Z3 and Q1^T L Q3.
+    r, m_l, scale, _, info = scipy.linalg.lapack.dtgsyl(
+        s1, s3, -(q1.T @ a2 @ z3), t1, t3, -(q1.T @ e2 @ z3), ijob=0
+    )
+    if info != 0:
         raise NoUniqueSolution(
-            "coupled Sylvester system is singular; the block spectra are not disjoint"
-        ) from exc
-    r = sol[: k * l].reshape((k, l), order="F")
-    m_l = sol[k * l :].reshape((k, l), order="F")
+            f"coupled Sylvester solver failed (info {info}); the block spectra "
+            "are not disjoint"
+        )
+    r = z1 @ (r / scale) @ z3.T
+    m_l = q1 @ (m_l / scale) @ q3.T
 
     bound = tol * (fro(a2) + fro(e2) + 1.0)
     res_a = fro(a1 @ r - m_l @ a3 + a2)
@@ -313,7 +331,7 @@ def solve_generalized_lyapunov(e, a, w, side: str, tol: float | None = None):
     require_square(a, "A")
     require_square(w, "W")
     if a.shape[0] != n or w.shape[0] != n:
-        raise SpectrumViolation(
+        raise DimensionMismatch(
             f"E, A, W must share one order, got {e.shape}, {a.shape}, {w.shape}"
         )
     if side not in ("controllability", "observability"):

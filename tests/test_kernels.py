@@ -1,7 +1,10 @@
 """Factorization and matrix-equation kernels: hand cases plus seeded property loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from stablekit import (
@@ -11,6 +14,7 @@ from stablekit import (
     NoUniqueSolution,
     SingularPencil,
     SpectrumViolation,
+    all_finite,
     antistable_finite,
     pencil_eigendata,
     qz_ordered,
@@ -18,6 +22,7 @@ from stablekit import (
     schur_eigenvalues,
     solve_generalized_lyapunov,
     solve_generalized_sylvester,
+    random_unstable_system,
     stable_or_infinite,
     svd,
 )
@@ -218,6 +223,111 @@ def test_sylvester_rejects_shared_spectrum():
         solve_generalized_sylvester(one, one, one, one, one, one)
 
 
+def test_sylvester_rejects_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        solve_generalized_sylvester(
+            np.eye(2), np.eye(3), np.eye(2), np.eye(3), np.ones((2, 2)), np.ones((2, 3))
+        )
+
+
+def count_qz_calls(monkeypatch):
+    """Record the order of every real QZ the Sylvester reduction step runs."""
+    sizes = []
+    qz = scipy.linalg.qz
+
+    def counted(a, b, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return qz(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qz", counted)
+    return sizes
+
+
+def assert_sylvester_residuals(a1, a3, e1, e3, a2, e2, r, l):
+    scale = np.linalg.norm(a2) + np.linalg.norm(e2) + 1.0
+    assert np.linalg.norm(a1 @ r - l @ a3 + a2) <= 1e-10 * scale
+    assert np.linalg.norm(e1 @ r - l @ e3 + e2) <= 1e-10 * scale
+
+
+def split_blocks(e, a, selector):
+    oq = qz_ordered(e, a, selector)
+    k = oq.split
+    et, at = oq.et, oq.at
+    return at[:k, :k], at[k:, k:], et[:k, :k], et[k:, k:], at[:k, k:], et[:k, k:]
+
+
+def test_sylvester_on_qz_blocks_factors_nothing(monkeypatch):
+    s = random_unstable_system(60, 30, seed=41, m=2, p=2, descriptor=True)
+    blocks = split_blocks(s.e, s.a, stable_or_infinite())
+    a1, a3 = blocks[0], blocks[1]
+    assert a1.shape == (30, 30) and a3.shape == (30, 30)
+    # both diagonal blocks carry complex pairs: 2x2 bumps on the subdiagonal
+    assert np.count_nonzero(np.diagonal(a1, -1)) > 0
+    assert np.count_nonzero(np.diagonal(a3, -1)) > 0
+    sizes = count_qz_calls(monkeypatch)
+    r, l = solve_generalized_sylvester(*blocks)
+    assert sizes == []
+    assert_sylvester_residuals(*blocks, r, l)
+
+
+def test_sylvester_on_weierstrass_blocks_with_singular_e3(monkeypatch):
+    # finite part of order 6 plus an index-2 nilpotent block, mixed by
+    # random orthogonal factors
+    rng = np.random.default_rng(43)
+    n_f = 6
+    e0 = scipy.linalg.block_diag(np.eye(n_f), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    a0 = scipy.linalg.block_diag(rng.standard_normal((n_f, n_f)), np.eye(2))
+    u = random_regular(rng, n_f + 2, spread=(1.0, 1.0))
+    v = random_regular(rng, n_f + 2, spread=(1.0, 1.0))
+    blocks = split_blocks(u @ e0 @ v, u @ a0 @ v, all_finite())
+    e3 = blocks[3]
+    assert e3.shape == (2, 2)
+    assert not np.tril(e3, -1).any()
+    assert np.min(np.abs(np.diag(e3))) <= 1e-12
+    sizes = count_qz_calls(monkeypatch)
+    r, l = solve_generalized_sylvester(*blocks)
+    assert sizes == []
+    assert_sylvester_residuals(*blocks, r, l)
+
+
+def test_sylvester_general_descriptor_blocks_are_reduced(monkeypatch):
+    rng = np.random.default_rng(47)
+    k, p = 7, 5
+    e1 = random_regular(rng, k)
+    e3 = random_regular(rng, p)
+    q1, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    q3, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    a1 = e1 @ q1 @ random_antistable_tri(rng, k, -3.0, -0.5) @ q1.T
+    a3 = e3 @ q3 @ random_antistable_tri(rng, p, 0.5, 3.0) @ q3.T
+    assert np.tril(e1, -1).any() and np.tril(e3, -1).any()
+    a2 = rng.standard_normal((k, p))
+    e2 = rng.standard_normal((k, p))
+    sizes = count_qz_calls(monkeypatch)
+    r, l = solve_generalized_sylvester(a1, a3, e1, e3, a2, e2)
+    assert sizes == [k, p]
+    assert_sylvester_residuals(a1, a3, e1, e3, a2, e2, r, l)
+
+
+def test_sylvester_memory_stays_small():
+    # dense k = l = 60 blocks: QZ blocks of a seeded pencil, mixed by random
+    # orthogonal factors so that both reductions run
+    s = random_unstable_system(120, 60, seed=53, m=2, p=2, descriptor=True)
+    a1, a3, e1, e3, a2, e2 = split_blocks(s.e, s.a, stable_or_infinite())
+    rng = np.random.default_rng(53)
+    u1, v1, u3, v3 = (random_regular(rng, 60, spread=(1.0, 1.0)) for _ in range(4))
+    a1, e1 = u1 @ a1 @ v1, u1 @ e1 @ v1
+    a3, e3 = u3 @ a3 @ v3, u3 @ e3 @ v3
+    a2, e2 = u1 @ a2 @ v3, u1 @ e2 @ v3
+    tracemalloc.start()
+    try:
+        r, l = solve_generalized_sylvester(a1, a3, e1, e3, a2, e2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert_sylvester_residuals(a1, a3, e1, e3, a2, e2, r, l)
+
+
 # ---------------------------------------------------------------------------
 # solve_generalized_lyapunov
 
@@ -249,6 +359,11 @@ def test_lyapunov_rejects_nonsymmetric_forcing():
         solve_generalized_lyapunov(
             np.eye(2), np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), "controllability"
         )
+
+
+def test_lyapunov_rejects_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        solve_generalized_lyapunov(np.eye(2), np.eye(3), np.eye(2), "controllability")
 
 
 def test_lyapunov_rejects_stable_spectrum():
@@ -378,6 +493,11 @@ def test_pencil_eigendata_matches_numpy_on_regular_e():
         alpha, beta = pencil_eigendata(e, a)
         got = alpha / beta
         assert_eigen_multisets_close(got, pencil_eigenvalues_np(e, a), tol=1e-7)
+
+
+def test_pencil_eigendata_rejects_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        pencil_eigendata(np.eye(2), np.eye(3))
 
 
 def test_selector_factories():
