@@ -14,7 +14,6 @@ from .approximation import (
     RegularityVerdict,
     construct_gamma_system,
     glover_oracle,
-    reduce_singular_schur,
     reduce_singular_svd,
     solve_ap2,
     solve_apinf,
@@ -46,13 +45,11 @@ from .gramians import (
     FrequencyGrid,
     GramianPair,
     HankelData,
-    LinfConfig,
     balanced_realization,
     gramians,
     h2_norm_antistable,
     hankel_sigma_max,
     linf_error,
-    linf_norm,
     linf_of,
     rl2_norm,
 )
@@ -64,8 +61,6 @@ from .kernels import (
     antistable_finite,
     pencil_eigendata,
     qz_ordered,
-    real_schur,
-    schur_eigenvalues,
     solve_generalized_lyapunov,
     solve_generalized_sylvester,
     stable_or_infinite,

@@ -17,9 +17,9 @@ part S_plus and an antistable part S_minus. Then:
 
   giving the approximant (E_gamma, A_gamma, B_gamma, C_gamma, 0) + S_plus.
   At gamma = sigma_1 the matrix A_gamma may be singular; then the system
-  carries a removable non-dynamic part that an orthogonal transformation
-  (SVD-based in general, Schur-based when E = I) eliminates, reducing the
-  order below n while preserving optimality.
+  carries a removable non-dynamic part that one orthogonal transformation,
+  taken from the SVD of A_gamma, eliminates, reducing the order below n
+  while preserving optimality.
 
 A classical balanced-coordinates construction (``glover_oracle``) is kept as
 an independent cross-check of the balance-free route.
@@ -37,7 +37,6 @@ import scipy.linalg
 from .errors import (
     GammaTooSmall,
     LeastSquaresInconsistent,
-    NotStandardForm,
     SpectrumViolation,
     StructureViolation,
 )
@@ -48,7 +47,7 @@ from .gramians import (
     h2_norm_antistable,
     hankel_sigma_max,
 )
-from .kernels import real_schur, schur_eigenvalues, svd
+from .kernels import SvdResult, svd
 from .systems import (
     DescriptorSystem,
     StabilityClass,
@@ -57,7 +56,7 @@ from .systems import (
     empty_system,
     pencil_spectrum,
 )
-from .util import _is_standard, default_tol, fro
+from .util import default_tol, fro
 
 __all__ = [
     "Branch",
@@ -67,7 +66,6 @@ __all__ = [
     "solve_ap2",
     "construct_gamma_system",
     "reduce_singular_svd",
-    "reduce_singular_schur",
     "glover_oracle",
     "solve_apinf",
 ]
@@ -76,7 +74,6 @@ __all__ = [
 class Branch(enum.Enum):
     REGULAR = "regular"
     SINGULAR_SVD = "singular-svd"
-    SINGULAR_SCHUR = "singular-schur"
 
 
 @dataclass(frozen=True)
@@ -106,9 +103,10 @@ class GammaSystem:
 
     Holds the raw matrices (the pencil may legitimately be singular at
     gamma = sigma_1, so no DescriptorSystem is formed here), the resolvent
-    matrix ``r_g``, the regularity verdict on ``a_g``, the sigma_1 it was
-    built against, and the source antistable system (whose feedthrough the
-    reductions reattach).
+    matrix ``r_g``, the regularity verdict on ``a_g`` with the SVD it was
+    read from (``a_svd``, reused by the singular reduction), the sigma_1 it
+    was built against, and the source antistable system (whose feedthrough
+    the reduction reattaches).
     """
 
     e_g: np.ndarray
@@ -118,6 +116,7 @@ class GammaSystem:
     gamma: float
     r_g: np.ndarray
     regular: RegularityVerdict
+    a_svd: SvdResult
     sigma1: float
     source: DescriptorSystem
 
@@ -171,8 +170,7 @@ def solve_ap2(s: DescriptorSystem, tol: float | None = None) -> ApproxResult:
 # Gamma system and regularity
 
 
-def _rank_verdict(m: np.ndarray, tol: float) -> RegularityVerdict:
-    res = svd(m, tol)
+def _rank_verdict(res: SvdResult, tol: float) -> RegularityVerdict:
     s = res.singular_values
     largest = float(s[0]) if s.size else 0.0
     smallest = float(s[-1]) if s.size else 0.0
@@ -211,6 +209,7 @@ def construct_gamma_system(
     b_g = e.T @ gr.xo @ b
     c_g = c @ gr.xc @ e.T
     a_g = -a.T @ r_g - c.T @ c_g
+    a_svd = svd(a_g, tol)
     return GammaSystem(
         e_g=e_g,
         a_g=a_g,
@@ -218,35 +217,45 @@ def construct_gamma_system(
         c_g=c_g,
         gamma=gamma,
         r_g=r_g,
-        regular=_rank_verdict(a_g, tol),
+        regular=_rank_verdict(a_svd, tol),
+        a_svd=a_svd,
         sigma1=hank.sigma1,
         source=s_minus,
     )
 
 
 # ---------------------------------------------------------------------------
-# Singular-branch reductions
+# Singular-branch reduction
 
 
-def _guard_reducible(gs: GammaSystem) -> None:
-    v = gs.regular
-    if v.is_regular and not v.borderline:
+def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> DescriptorSystem:
+    """Eliminate the non-dynamic part of a singular gamma system via SVD.
+
+    Orthogonal U, V from the SVD of A_gamma (``gs.a_svd``, computed once when
+    the gamma system was built, together with its numeric rank) put it into
+    the form [[A11, A12], [0, 0]] with A11 regular of size equal to the
+    rank; the same transformation provably zeroes the corresponding rows of
+    E_gamma and B_gamma (verified here; StructureViolation otherwise).
+    Returns the leading subsystem with the source feedthrough reattached.
+    Raises ValueError when A_gamma is cleanly regular.
+    """
+    tol = default_tol(tol)
+    verdict = gs.regular
+    if verdict.is_regular and not verdict.borderline:
         raise ValueError(
             "gamma-system A matrix is cleanly regular (smallest singular value "
-            f"{v.smallest_sv:.3e} vs threshold {v.threshold:.3e}); use the "
-            "unreduced system directly"
+            f"{verdict.smallest_sv:.3e} vs threshold {verdict.threshold:.3e}); "
+            "use the unreduced system directly"
         )
-
-
-def _leading_subsystem(
-    gs: GammaSystem, at, et, bt, ct, rank: int, tol: float
-) -> DescriptorSystem:
-    """Check that rows ``rank:`` of the transformed A, E, B vanish; keep the rest.
-
-    Returns the leading ``rank`` states with the source feedthrough reattached.
-    """
+    rank = gs.a_svd.numeric_rank
     if rank == 0:
         return empty_system(gs.b_g.shape[1], gs.c_g.shape[0], gs.source.d)
+    u_t = gs.a_svd.u.T
+    v = gs.a_svd.v
+    at = u_t @ gs.a_g @ v
+    et = u_t @ gs.e_g @ v
+    bt = u_t @ gs.b_g
+    ct = gs.c_g @ v
     bound = tol * max(1.0, fro(gs.e_g), fro(gs.a_g), fro(gs.b_g))
     for name, block in (("A", at), ("E", et), ("B", bt)):
         err = fro(block[rank:, :])
@@ -258,49 +267,6 @@ def _leading_subsystem(
     return DescriptorSystem(
         et[:rank, :rank], at[:rank, :rank], bt[:rank, :], ct[:, :rank], gs.source.d
     )
-
-
-def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> DescriptorSystem:
-    """Eliminate the non-dynamic part of a singular gamma system via SVD.
-
-    Orthogonal U, V from the SVD of A_gamma put it into the form
-    [[A11, A12], [0, 0]] with A11 regular of size equal to the numeric rank;
-    the same transformation provably zeroes the corresponding rows of
-    E_gamma and B_gamma (verified here; StructureViolation otherwise).
-    Returns the leading subsystem with the source feedthrough reattached.
-    """
-    tol = default_tol(tol)
-    _guard_reducible(gs)
-    res = svd(gs.a_g, tol)
-    u_t = res.u.T
-    v = res.v
-    at = u_t @ gs.a_g @ v
-    et = u_t @ gs.e_g @ v
-    bt = u_t @ gs.b_g
-    ct = gs.c_g @ v
-    return _leading_subsystem(gs, at, et, bt, ct, res.numeric_rank, tol)
-
-
-def reduce_singular_schur(gs: GammaSystem, tol: float | None = None) -> DescriptorSystem:
-    """Eliminate the non-dynamic part via one real Schur form (E = I only).
-
-    With a standard-form source the gamma system allows V = U^T from the
-    Schur decomposition of A_gamma with zero eigenvalues ordered last; the
-    trailing diagonal block then vanishes along with the matching rows of
-    E_gamma and B_gamma. Produces the same transfer as the SVD route.
-    """
-    tol = default_tol(tol)
-    if not _is_standard(gs.source.e, tol):
-        raise NotStandardForm("the Schur reduction requires a standard-form source (E = I)")
-    _guard_reducible(gs)
-    q, t = real_schur(gs.a_g, tol)
-    eigs = schur_eigenvalues(t)
-    zero_thresh = tol * fro(gs.a_g)
-    rank = int(np.count_nonzero(np.abs(eigs) > zero_thresh))
-    et = q @ gs.e_g @ q.T
-    bt = q @ gs.b_g
-    ct = gs.c_g @ q.T
-    return _leading_subsystem(gs, t, et, bt, ct, rank, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +342,8 @@ def solve_apinf(
     otherwise gamma = gamma_factor * sigma_1 with gamma_factor > 1. The
     pipeline: decompose, Gramians, sigma_1, gamma system; take it directly
     when its A matrix is cleanly regular, otherwise eliminate the
-    non-dynamic part (Schur route for standard-form antistable parts, SVD
-    route in general) and reattach the stable part.
+    non-dynamic part with ``reduce_singular_svd`` (standard and descriptor
+    E alike) and reattach the stable part.
     """
     tol = default_tol(tol)
     if gamma_factor is not None and not gamma_factor > 1.0:
@@ -416,9 +382,6 @@ def solve_apinf(
     if not use_singular:
         approx_minus = DescriptorSystem(gs.e_g, gs.a_g, gs.b_g, gs.c_g, dec.s_minus.d)
         branch = Branch.REGULAR
-    elif _is_standard(dec.s_minus.e, tol):
-        approx_minus = reduce_singular_schur(gs, tol)
-        branch = Branch.SINGULAR_SCHUR
     else:
         approx_minus = reduce_singular_svd(gs, tol)
         branch = Branch.SINGULAR_SVD

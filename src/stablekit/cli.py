@@ -141,6 +141,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_freqresp(args) -> int:
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     s = load_dsys(args.input)
     rep = pencil_spectrum(s, args.tol)
     fin = rep.finite_eigenvalues
@@ -220,7 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_freq.add_argument("input")
     p_freq.add_argument("--wmin", type=float, default=None)
     p_freq.add_argument("--wmax", type=float, default=None)
-    p_freq.add_argument("--points", type=int, default=200)
+    p_freq.add_argument(
+        "--points", type=int, default=200, help="number of frequencies (at least 2)"
+    )
     p_freq.add_argument("--tol", type=float, default=None)
     p_freq.add_argument("-o", "--output", required=True)
     p_freq.set_defaults(func=cmd_freqresp)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,12 +44,10 @@ __all__ = [
     "GramianPair",
     "HankelData",
     "FrequencyGrid",
-    "LinfConfig",
     "BalancedRealization",
     "gramians",
     "hankel_sigma_max",
     "h2_norm_antistable",
-    "linf_norm",
     "linf_error",
     "linf_of",
     "rl2_norm",
@@ -204,23 +201,6 @@ def rl2_norm(s: DescriptorSystem, tol: float | None = None) -> float:
 
 
 @dataclass(frozen=True)
-class LinfConfig:
-    """Sampling plan for the L-infinity evaluator.
-
-    ``wmin``/``wmax`` default to 1e-6 and 1e6 times ``rho`` (the magnitude
-    scale of the finite poles, floored at 1). ``value_at_inf`` is the known
-    response norm at omega = infinity; it participates in the supremum.
-    """
-
-    wmin: float | None = None
-    wmax: float | None = None
-    n0: int = 512
-    reltol: float = 1e-8
-    rho: float = 1.0
-    value_at_inf: float = 0.0
-
-
-@dataclass(frozen=True)
 class FrequencyGrid:
     """Evaluated frequencies (sorted), their response norms, and the max."""
 
@@ -231,91 +211,6 @@ class FrequencyGrid:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def linf_norm(evaluate: Callable[[np.ndarray], np.ndarray], cfg: LinfConfig) -> FrequencyGrid:
-    """Supremum over the imaginary axis of a response-norm evaluator.
-
-    Seeds a log grid (omega = 0 always included), then runs golden-section
-    refinement around the top three local maxima (ties broken toward lower
-    omega) until the bracket is below ``reltol`` relative to its location.
-    The reported maximum also covers ``cfg.value_at_inf``. Raises
-    NonFiniteSample if any sample at finite omega is not finite.
-    """
-    scale = max(float(cfg.rho), 1.0)
-    wmin = float(cfg.wmin) if cfg.wmin is not None else 1e-6 * scale
-    wmax = float(cfg.wmax) if cfg.wmax is not None else 1e6 * scale
-    if not (0.0 < wmin < wmax):
-        raise ValueError(f"need 0 < wmin < wmax, got [{wmin}, {wmax}]")
-    omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, int(cfg.n0))])
-
-    def batch(ws: np.ndarray) -> np.ndarray:
-        vals = np.asarray(evaluate(ws), dtype=np.float64)
-        if not np.isfinite(vals).all():
-            w_bad = ws[~np.isfinite(vals)][0]
-            raise NonFiniteSample(
-                f"response norm is not finite at omega = {w_bad:.6g} "
-                "(pole on or near the imaginary axis)"
-            )
-        return vals
-
-    vals = batch(omegas)
-    rec_w = [omegas]
-    rec_v = [vals]
-
-    k = omegas.size
-    peaks = []
-    for i in range(k):
-        left = vals[i - 1] if i > 0 else -math.inf
-        right = vals[i + 1] if i + 1 < k else -math.inf
-        if vals[i] >= left and vals[i] >= right:
-            peaks.append(i)
-    peaks.sort(key=lambda i: (-vals[i], omegas[i]))
-
-    def eval_one(w: float) -> float:
-        v = batch(np.array([w]))
-        rec_w.append(np.array([w]))
-        rec_v.append(v)
-        return float(v[0])
-
-    for i in peaks[:3]:
-        a = omegas[i - 1] if i > 0 else omegas[i]
-        b = omegas[i + 1] if i + 1 < k else omegas[i]
-        if b <= a:
-            continue
-        target = cfg.reltol * max(omegas[i], wmin)
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc = eval_one(c)
-        fd = eval_one(d)
-        while (b - a) > target:
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = eval_one(d)
-            else:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = eval_one(c)
-
-    all_w = np.concatenate(rec_w)
-    all_v = np.concatenate(rec_v)
-    order = np.argsort(all_w, kind="stable")
-    all_w = all_w[order]
-    all_v = all_v[order]
-    uniq, idx = np.unique(all_w, return_index=True)
-    all_w = uniq
-    all_v = all_v[idx]
-
-    best = int(np.argmax(all_v))  # ties resolve to the lowest omega
-    max_value = float(all_v[best])
-    argmax_omega = float(all_w[best])
-    if cfg.value_at_inf > max_value:
-        max_value = float(cfg.value_at_inf)
-        argmax_omega = math.inf
-    return FrequencyGrid(
-        omegas=all_w, values=all_v, argmax_omega=argmax_omega, max_value=max_value
-    )
 
 
 def _spectral_norms(g: np.ndarray) -> np.ndarray:
@@ -364,30 +259,97 @@ def linf_error(
     reltol: float = 1e-8,
     tol: float | None = None,
 ) -> FrequencyGrid:
-    """Sampled L-infinity norm of the difference G1 - G2."""
+    """Sampled L-infinity norm of the difference G1 - G2.
+
+    ``wmin``/``wmax`` default to 1e-6 and 1e6 times the magnitude scale of
+    the finite poles of both systems (floored at 1). Seeds a log grid of
+    ``n0`` points (omega = 0 always included), then runs golden-section
+    refinement around the top three local maxima (ties broken toward lower
+    omega) until the bracket is below ``reltol`` relative to its location.
+    The reported maximum also covers the difference at omega = infinity,
+    which is infinite when G1 - G2 is improper. Raises NonFiniteSample if
+    any sample at finite omega is not finite.
+    """
     tol = default_tol(tol)
     if s1.m != s2.m or s1.p != s2.p:
         raise SpectrumViolation(
             "error norm needs matching input/output counts, got "
             f"({s1.m},{s1.p}) and ({s2.m},{s2.p})"
         )
+    scale = _pole_scale(s1, s2, tol=tol)
+    value_at_inf = _difference_at_infinity(s1, s2, tol)
+    wmin = float(wmin) if wmin is not None else 1e-6 * scale
+    wmax = float(wmax) if wmax is not None else 1e6 * scale
+    if not (0.0 < wmin < wmax):
+        raise ValueError(f"need 0 < wmin < wmax, got [{wmin}, {wmax}]")
+    omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, int(n0))])
 
-    def evaluate(ws: np.ndarray) -> np.ndarray:
+    def batch(ws: np.ndarray) -> np.ndarray:
         try:
             diff = frequency_response(s1, ws) - frequency_response(s2, ws)
         except AtPole as exc:
             raise NonFiniteSample(str(exc)) from exc
-        return _spectral_norms(diff)
+        vals = _spectral_norms(diff)
+        if not np.isfinite(vals).all():
+            w_bad = ws[~np.isfinite(vals)][0]
+            raise NonFiniteSample(
+                f"response norm is not finite at omega = {w_bad:.6g} "
+                "(pole on or near the imaginary axis)"
+            )
+        return vals
 
-    cfg = LinfConfig(
-        wmin=wmin,
-        wmax=wmax,
-        n0=n0,
-        reltol=reltol,
-        rho=_pole_scale(s1, s2, tol=tol),
-        value_at_inf=_difference_at_infinity(s1, s2, tol),
+    vals = batch(omegas)
+    rec_w = [omegas]
+    rec_v = [vals]
+
+    k = omegas.size
+    peaks = []
+    for i in range(k):
+        left = vals[i - 1] if i > 0 else -math.inf
+        right = vals[i + 1] if i + 1 < k else -math.inf
+        if vals[i] >= left and vals[i] >= right:
+            peaks.append(i)
+    peaks.sort(key=lambda i: (-vals[i], omegas[i]))
+
+    def eval_one(w: float) -> float:
+        v = batch(np.array([w]))
+        rec_w.append(np.array([w]))
+        rec_v.append(v)
+        return float(v[0])
+
+    for i in peaks[:3]:
+        a = omegas[i - 1] if i > 0 else omegas[i]
+        b = omegas[i + 1] if i + 1 < k else omegas[i]
+        if b <= a:
+            continue
+        target = reltol * max(omegas[i], wmin)
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc = eval_one(c)
+        fd = eval_one(d)
+        while (b - a) > target:
+            if fc < fd:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                fd = eval_one(d)
+            else:
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = eval_one(c)
+
+    # sorted and deduplicated, keeping the first sample of a repeated omega
+    all_w, idx = np.unique(np.concatenate(rec_w), return_index=True)
+    all_v = np.concatenate(rec_v)[idx]
+
+    best = int(np.argmax(all_v))  # ties resolve to the lowest omega
+    max_value = float(all_v[best])
+    argmax_omega = float(all_w[best])
+    if value_at_inf > max_value:
+        max_value = float(value_at_inf)
+        argmax_omega = math.inf
+    return FrequencyGrid(
+        omegas=all_w, values=all_v, argmax_omega=argmax_omega, max_value=max_value
     )
-    return linf_norm(evaluate, cfg)
 
 
 def linf_of(

@@ -1,7 +1,7 @@
 """Dense real matrix factorizations and two-sided matrix-equation solvers.
 
-This module wraps the LAPACK-backed factorizations (ordered QZ, real Schur,
-SVD) behind the contracts the rest of the package relies on, and implements
+This module wraps the LAPACK-backed factorizations (ordered QZ and SVD)
+behind the contracts the rest of the package relies on, and implements
 the two coupled-equation solvers: the generalized Sylvester equation used to
 block-diagonalize a triangularized pencil, and the generalized Lyapunov
 equation whose solutions are the system Gramians.
@@ -39,8 +39,6 @@ __all__ = [
     "solve_generalized_sylvester",
     "solve_generalized_lyapunov",
     "svd",
-    "real_schur",
-    "schur_eigenvalues",
 ]
 
 
@@ -375,7 +373,7 @@ def solve_generalized_lyapunov(e, a, w, side: str, tol: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# SVD and real Schur
+# SVD
 
 
 def svd(m, tol: float | None = None) -> SvdResult:
@@ -395,47 +393,3 @@ def svd(m, tol: float | None = None) -> SvdResult:
     else:
         rank = int(np.count_nonzero(s > tol * s[0]))
     return SvdResult(u=u, singular_values=s, v=vh.T, numeric_rank=rank)
-
-
-def real_schur(m, tol: float | None = None):
-    """Real Schur decomposition Q M Q^T = T with zero eigenvalues trailing.
-
-    Eigenvalues of magnitude at most ``tol * ||M||_F`` count as zero and are
-    reordered to the trailing block; everything else leads.
-    """
-    tol = default_tol(tol)
-    m = as_matrix(m, "M")
-    n = require_square(m, "M")
-    if n == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0))
-    zero_thresh = tol * fro(m)
-
-    def nonzero(re, im):
-        return np.hypot(np.asarray(re), np.asarray(im)) > zero_thresh
-
-    try:
-        t, z, _ = scipy.linalg.schur(m, output="real", sort=nonzero)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
-        raise ConvergenceFailure(f"Schur iteration failed: {exc}") from exc
-    return z.T, t
-
-
-def schur_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real quasi-upper-triangular matrix, in diagonal order.
-
-    Walks the 1x1 and 2x2 diagonal blocks; a 2x2 block contributes its
-    complex-conjugate pair.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    n = require_square(t, "T")
-    out = np.zeros(n, dtype=complex)
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            block = t[i : i + 2, i : i + 2]
-            out[i : i + 2] = np.linalg.eigvals(block)
-            i += 2
-        else:
-            out[i] = t[i, i]
-            i += 1
-    return out

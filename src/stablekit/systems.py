@@ -229,23 +229,35 @@ def transfer_eval(s: DescriptorSystem, z: complex) -> np.ndarray:
     return s.c @ x + s.d
 
 
+#: Bytes of complex n x n pencils that ``frequency_response`` stacks into one
+#: solve; longer grids are solved block by block, so memory stays bounded.
+_RESPONSE_BLOCK_BYTES = 1 << 20
+
+
 def frequency_response(s: DescriptorSystem, omegas) -> np.ndarray:
     """Evaluate G(i omega) on a batch of frequencies.
 
-    Returns a (k, p, m) complex array. Uses one stacked linear solve, so a
-    long grid costs a single LAPACK batch rather than k Python-level calls.
+    Returns a (k, p, m) complex array. The frequencies are solved in stacked
+    blocks of about ``_RESPONSE_BLOCK_BYTES`` of pencils each, so a long grid
+    costs a few LAPACK batches rather than k Python-level calls, and its
+    memory does not grow with k.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
     k = omegas.shape[0]
     if s.n == 0:
         return np.broadcast_to(s.d.astype(complex), (k, s.p, s.m)).copy()
-    pencils = 1j * omegas[:, None, None] * s.e - s.a
-    rhs = np.broadcast_to(s.b.astype(complex), (k, s.n, s.m))
-    try:
-        x = np.linalg.solve(pencils, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise AtPole("a grid frequency sits numerically on a pole") from exc
-    return s.c @ x + s.d
+    step = max(1, _RESPONSE_BLOCK_BYTES // (16 * s.n * s.n))
+    b = s.b.astype(complex)
+    out = np.empty((k, s.p, s.m), dtype=complex)
+    for lo in range(0, k, step):
+        ws = omegas[lo : lo + step]
+        pencils = 1j * ws[:, None, None] * s.e - s.a
+        try:
+            x = np.linalg.solve(pencils, np.broadcast_to(b, (ws.size, s.n, s.m)))
+        except np.linalg.LinAlgError as exc:
+            raise AtPole("a grid frequency sits numerically on a pole") from exc
+        out[lo : lo + step] = s.c @ x + s.d
+    return out
 
 
 def transfer_polynomial_part(s: DescriptorSystem, tol: float | None = None) -> np.ndarray:

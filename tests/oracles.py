@@ -127,29 +127,6 @@ def pencil_eigenvalues_np(e, a):
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial (Faddeev-LeVerrier) for eigenvalue oracles
-
-
-def char_poly_roots(m):
-    """Eigenvalues as roots of the characteristic polynomial.
-
-    Coefficients come from the Faddeev-LeVerrier trace recursion, roots from
-    numpy's companion-matrix solver - a different path than any Schur/QZ
-    factorization under test.
-    """
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    mk = np.eye(n)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        ck = -np.trace(mk) / k
-        coeffs[k] = ck
-        mk = mk + ck * np.eye(n)
-    return np.roots(coeffs)
-
-
-# ---------------------------------------------------------------------------
 # Random fixtures
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import stablekit.approximation as approximation
 from stablekit import (
     AxisEigenvalue,
     Branch,
@@ -11,7 +12,6 @@ from stablekit import (
     GammaSystem,
     GammaTooSmall,
     NotMinimal,
-    NotStandardForm,
     StabilityClass,
     construct_gamma_system,
     direct_sum,
@@ -20,12 +20,12 @@ from stablekit import (
     hankel_sigma_max,
     linf_error,
     pencil_spectrum,
-    reduce_singular_schur,
     reduce_singular_svd,
     response_at_infinity,
     rse_transform,
     solve_ap2,
     solve_apinf,
+    svd,
     transfer_eval,
 )
 from stablekit.synth import random_antistable_system, random_orthogonal, random_unstable_system
@@ -263,8 +263,6 @@ def test_reduce_guard_on_cleanly_regular():
     gs = gamma_system_of(NEHARI, 1.0)
     with pytest.raises(ValueError):
         reduce_singular_svd(gs)
-    with pytest.raises(ValueError):
-        reduce_singular_schur(gs)
 
 
 def test_reduce_rank_zero_returns_feedthrough():
@@ -274,34 +272,40 @@ def test_reduce_rank_zero_returns_feedthrough():
     red = reduce_singular_svd(gs)
     assert red.n == 0
     assert_allclose(transfer_eval(red, 2.0j), [[0.7]], atol=1e-15)
-    # uncontrollable variant through the Schur route
+    # uncontrollable variant
     s = scalar_system(1.0, 1.0, 0.0, 1.0, d=-0.3)
-    red = reduce_singular_schur(gamma_system_of(s, 0.0))
+    red = reduce_singular_svd(gamma_system_of(s, 0.0))
     assert red.n == 0
     assert_allclose(transfer_eval(red, 2.0j), [[-0.3]], atol=1e-15)
 
 
-def test_reduce_schur_matches_svd_on_rotate2():
+def assert_optimal_reduction(s, red, sigma1, multiplicity):
+    """``red`` approximates the antistable ``s`` within exactly sigma_1.
+
+    Its finite poles number n - multiplicity, all stable; the sampled error
+    reaches sigma_1 and does not exceed it.
+    """
+    rep = pencil_spectrum(red)
+    assert rep.finite_eigenvalues.size == s.n - multiplicity
+    assert rep.stability_class is StabilityClass.STABLE
+    grid = linf_error(s, red)
+    assert sigma1 * (1.0 - 1e-8) <= grid.max_value <= sigma1 * (1.0 + 1e-8)
+
+
+def test_reduce_svd_rotate2_meets_sigma1():
     gs = gamma_system_of(ROTATE2, 1.0)
-    red_svd = reduce_singular_svd(gs)
-    red_schur = reduce_singular_schur(gs)
-    assert red_schur.n == red_svd.n == 1
-    for z in axis_points():
-        assert_allclose(
-            eval_transfer_np(red_schur, z), eval_transfer_np(red_svd, z), atol=1e-8
-        )
-        assert_allclose(eval_transfer_np(red_schur, z), [[-1.0]], atol=1e-12)
+    red = reduce_singular_svd(gs)
+    assert red.n == gs.regular.rank == 1
+    assert_optimal_reduction(ROTATE2, red, 1.0, 2)
 
 
-def test_reduce_schur_requires_standard_form():
+def test_reduce_svd_handles_descriptor_source():
     rng = np.random.default_rng(109)
     w = random_regular(rng, 2)
     sd = rse_transform(w, ROTATE2, np.eye(2))
     gs = gamma_system_of(sd, 1.0)
-    with pytest.raises(NotStandardForm):
-        reduce_singular_schur(gs)
-    # the SVD route handles the descriptor source and agrees with the
-    # standard-form reduction through the transfer function
+    # the descriptor source reduces to the standard-form result through the
+    # transfer function
     red = reduce_singular_svd(gs)
     for z in axis_points():
         assert_allclose(eval_transfer_np(red, z), [[-1.0]], atol=1e-9)
@@ -327,7 +331,7 @@ def mixed_singular_instance(rng):
     return DescriptorSystem(np.eye(3), t @ a @ t.T, t @ b, c @ t.T)
 
 
-def test_reduce_branches_agree_on_random_singular_instances():
+def test_reduce_svd_on_random_singular_instances():
     rng = np.random.default_rng(113)
     for _ in range(6):
         s = mixed_singular_instance(rng)
@@ -337,13 +341,9 @@ def test_reduce_branches_agree_on_random_singular_instances():
         assert hank.multiplicity_estimate == 2
         gs = construct_gamma_system(s, gr, hank.sigma1)
         assert not gs.regular.is_regular
-        red_svd = reduce_singular_svd(gs)
-        red_schur = reduce_singular_schur(gs)
-        assert red_svd.n == red_schur.n
-        for z in axis_points(rng):
-            g1 = eval_transfer_np(red_svd, z)
-            g2 = eval_transfer_np(red_schur, z)
-            assert np.linalg.norm(g1 - g2) <= 1e-8 * (1.0 + np.linalg.norm(g1))
+        red = reduce_singular_svd(gs)
+        assert red.n == gs.regular.rank
+        assert_optimal_reduction(s, red, hank.sigma1, hank.multiplicity_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +457,26 @@ def test_apinf_validates_gamma_factor():
 
 def test_apinf_rotate2_takes_singular_branch():
     res = solve_apinf(ROTATE2)
-    assert res.branch is Branch.SINGULAR_SCHUR
+    assert res.branch is Branch.SINGULAR_SVD
     assert res.system.n == 1
     for z in axis_points():
         assert_allclose(eval_transfer_np(res.system, z), [[-1.0]], atol=1e-10)
     grid = linf_error(ROTATE2, res.system)
     assert grid.max_value == pytest.approx(1.0, abs=1e-8)
     assert grid.values.min() == pytest.approx(1.0, abs=1e-8)
+
+
+def test_apinf_singular_branch_factors_a_gamma_once(monkeypatch):
+    shapes = []
+
+    def counted(m, tol=None):
+        shapes.append(np.shape(m))
+        return svd(m, tol)
+
+    monkeypatch.setattr(approximation, "svd", counted)
+    res = solve_apinf(ROTATE2)
+    assert res.branch is Branch.SINGULAR_SVD
+    assert shapes == [(2, 2)]
 
 
 def test_apinf_descriptor_singular_instance_takes_svd_branch():

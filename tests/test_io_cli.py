@@ -403,6 +403,19 @@ def test_cli_freqresp_matches_direct_evaluation(tmp_path):
         assert_allclose(row[1:], flat, atol=1e-12)
 
 
+@pytest.mark.parametrize("points", [0, 1, -3])
+def test_cli_freqresp_rejects_fewer_than_two_points(tmp_path, points):
+    src = tmp_path / "model.dsys"
+    csv_out = tmp_path / "resp.csv"
+    save_dsys(src, random_unstable_system(3, 1, seed=17))
+    proc = run_cli("freqresp", src, f"--points={points}", "-o", csv_out)
+    assert proc.returncode == 1
+    assert "--points must be at least 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not csv_out.exists()
+
+
 def test_cli_reports_deterministic_modulo_timing(nehari_file, tmp_path):
     out1 = tmp_path / "o1.dsys"
     out2 = tmp_path / "o2.dsys"

@@ -18,8 +18,6 @@ from stablekit import (
     antistable_finite,
     pencil_eigendata,
     qz_ordered,
-    real_schur,
-    schur_eigenvalues,
     solve_generalized_lyapunov,
     solve_generalized_sylvester,
     random_unstable_system,
@@ -30,7 +28,6 @@ from stablekit.util import EPS
 
 from oracles import (
     assert_eigen_multisets_close,
-    char_poly_roots,
     pencil_eigenvalues_np,
     random_antistable_tri,
     random_regular,
@@ -430,52 +427,6 @@ def test_svd_reconstruction_property_loop():
         assert np.all(np.diff(res.singular_values) <= 0)
         assert_orthogonal(res.u)
         assert_orthogonal(res.v)
-
-
-# ---------------------------------------------------------------------------
-# real_schur
-
-
-def test_schur_diagonal_matrix():
-    m = np.diag([3.0, -1.0, 2.0])
-    q, t = real_schur(m)
-    assert_eigen_multisets_close(schur_eigenvalues(t), [3.0, -1.0, 2.0], tol=1e-12)
-    assert np.linalg.norm(q @ m @ q.T - t) <= 1e-12 * np.linalg.norm(m)
-
-
-def test_schur_nilpotent_is_fixed_point():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    q, t = real_schur(m)
-    assert_allclose(np.abs(t), np.abs(m), atol=1e-14)
-    assert_eigen_multisets_close(schur_eigenvalues(t), [0.0, 0.0], tol=1e-12)
-
-
-def test_schur_symmetric_matches_char_poly_roots():
-    rng = np.random.default_rng(23)
-    g = rng.standard_normal((5, 5))
-    m = (g + g.T) / 2.0
-    q, t = real_schur(m)
-    assert_orthogonal(q)
-    assert_eigen_multisets_close(schur_eigenvalues(t), char_poly_roots(m), tol=1e-10)
-
-
-def test_schur_zero_eigenvalues_ordered_trailing():
-    rng = np.random.default_rng(29)
-    for _ in range(8):
-        n = int(rng.integers(2, 7))
-        rank = int(rng.integers(1, n))
-        # rank-deficient matrix: outer product of thin factors
-        m = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
-        q, t = real_schur(m)
-        eigs = schur_eigenvalues(t)
-        thresh = 1e-10 * np.linalg.norm(m)
-        nonzero = np.abs(eigs) > thresh
-        # once a zero appears, no nonzero eigenvalue may follow
-        seen_zero = False
-        for flag in nonzero:
-            if not flag:
-                seen_zero = True
-            assert not (seen_zero and flag)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Descriptor-system model, spectra, transfer evaluation, and decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -166,6 +168,30 @@ def test_frequency_response_matches_pointwise_eval():
     resp = frequency_response(s, omegas)
     for k, w in enumerate(omegas):
         assert_allclose(resp[k], eval_transfer_np(s, 1j * w), atol=1e-12)
+
+
+def test_frequency_response_blocks_match_one_stacked_solve():
+    s = random_unstable_system(40, 4, seed=41, m=2, p=3)
+    step = systems._RESPONSE_BLOCK_BYTES // (16 * s.n * s.n)
+    omegas = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 7 * step // 2)])
+    assert omegas.size > 3 * step
+    pencils = 1j * omegas[:, None, None] * s.e - s.a
+    rhs = np.broadcast_to(s.b.astype(complex), (omegas.size, s.n, s.m))
+    stacked = s.c @ np.linalg.solve(pencils, rhs) + s.d
+    assert np.array_equal(frequency_response(s, omegas), stacked)
+
+
+def test_frequency_response_memory_does_not_grow_with_the_grid():
+    s = random_unstable_system(80, 4, seed=43)
+    omegas = np.geomspace(1e-3, 1e3, 513)
+    tracemalloc.start()
+    try:
+        frequency_response(s, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one stack of all 513 pencils alone would be 52 MB
+    assert peak <= 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
