@@ -31,12 +31,12 @@ from .kernels import solve_generalized_lyapunov
 from .systems import (
     DescriptorSystem,
     StabilityClass,
+    _mirror,
     additive_decompose,
     empty_system,
     frequency_response,
     pencil_spectrum,
     transfer_polynomial_part,
-    weierstrass_split,
 )
 from .util import _is_standard, default_tol, fro
 
@@ -173,8 +173,8 @@ def rl2_norm(s: DescriptorSystem, tol: float | None = None) -> float:
 
     Finite exactly when the response vanishes at infinity; then the squared
     norm splits over the stable/antistable parts (they are orthogonal in L2),
-    and the stable half is evaluated through the antistable flip
-    (I, -J, B, -C), which has the same norm.
+    and the stable half is evaluated through its mirror G_plus(-s), whose
+    antistable part has the same norm.
     """
     tol = default_tol(tol)
     coeffs = transfer_polynomial_part(s, tol)
@@ -186,12 +186,8 @@ def rl2_norm(s: DescriptorSystem, tol: float | None = None) -> float:
     if dec.s_minus.n > 0:
         total += h2_norm_antistable(dec.s_minus, gramians(dec.s_minus, tol), tol) ** 2
     if dec.s_plus.n > 0:
-        ws = weierstrass_split(dec.s_plus, tol)
-        k = ws.j.shape[0]
-        if k > 0:
-            flip = DescriptorSystem(
-                np.eye(k), -ws.j, ws.b_j, -ws.c_j, np.zeros((s.p, s.m))
-            )
+        flip = additive_decompose(_mirror(dec.s_plus), tol).s_minus
+        if flip.n > 0:
             total += h2_norm_antistable(flip, gramians(flip, tol), tol) ** 2
     return math.sqrt(total)
 

@@ -154,41 +154,17 @@ def infinite_eigenvalue_threshold(e: np.ndarray, a: np.ndarray, tol: float) -> f
     return max(tol * fro(e), n * EPS * 32.0 * (fro(e) + fro(a)))
 
 
-def pencil_eigendata(e, a):
-    """Generalized eigenvalue data (alpha, beta) of the pencil (E, A).
+def pencil_eigendata(e, a) -> OrderedQz:
+    """Generalized Schur form of the pencil (E, A), in QZ order (``split`` 0).
 
-    Eigenvalues are alpha/beta; beta below ``infinite_eigenvalue_threshold``
-    marks an infinite eigenvalue. Raises SingularPencil when the pencil has
-    no well-defined spectrum.
-
-    Returns
-    -------
-    alpha : complex ndarray
-    beta : real ndarray
+    One real QZ gives orthogonal U, V with U E V = Et upper triangular and
+    U A V = At quasi-upper triangular; ``alpha``/``beta`` are the eigenvalue
+    data of its diagonal. Eigenvalues are alpha/beta; beta below
+    ``infinite_eigenvalue_threshold`` marks an infinite eigenvalue. Raises
+    SingularPencil when the pencil has no well-defined spectrum.
+    ``qz_ordered`` and the block splits of ``systems`` reorder this form
+    instead of factoring (E, A) again.
     """
-    e = as_matrix(e, "E")
-    a = as_matrix(a, "A")
-    n = require_square(e, "E")
-    if require_square(a, "A") != n:
-        raise DimensionMismatch(f"E and A must have equal sizes, got {e.shape} and {a.shape}")
-    if n == 0:
-        return np.zeros(0, dtype=complex), np.zeros(0)
-    # ordqz with an empty selection performs no reordering but still returns
-    # the (alpha, beta) diagonal data of the generalized Schur form.
-    _, _, alpha, beta, _, _ = scipy.linalg.ordqz(a, e, sort=_select_none, output="real")
-    _regularity_check(alpha, beta, e, a)
-    return alpha, beta
-
-
-def qz_ordered(e, a, selector: EigenvalueSelector, tol: float | None = None) -> OrderedQz:
-    """Ordered QZ decomposition of the pencil (E, A).
-
-    Computes orthogonal U, V with U E V = Et, U A V = At quasi-upper
-    triangular, reordered so the leading ``split`` x ``split`` block carries
-    exactly the eigenvalues picked by ``selector`` (infinite eigenvalues
-    according to its flag) and the trailing block the complement.
-    """
-    tol = default_tol(tol)
     e = as_matrix(e, "E")
     a = as_matrix(a, "A")
     n = require_square(e, "E")
@@ -197,15 +173,34 @@ def qz_ordered(e, a, selector: EigenvalueSelector, tol: float | None = None) -> 
     if n == 0:
         empty = np.zeros((0, 0))
         return OrderedQz(
-            u=empty, v=empty.copy(), et=e.copy(), at=a.copy(), split=0,
+            u=empty, v=empty, et=empty, at=empty, split=0,
             alpha=np.zeros(0, dtype=complex), beta=np.zeros(0),
         )
+    # ordqz with an empty selection performs no reordering but returns the
+    # diagonal data as LAPACK tgsen computes it, like every later reorder.
+    try:
+        at, et, alpha, beta, q, z = scipy.linalg.ordqz(a, e, sort=_select_none, output="real")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK-dependent
+        raise ConvergenceFailure(f"QZ iteration failed: {exc}") from exc
+    _regularity_check(alpha, beta, e, a)
+    return OrderedQz(u=q.T, v=z, et=et, at=at, split=0, alpha=alpha, beta=beta)
 
+
+def _reorder(form: OrderedQz, e, a, selector: EigenvalueSelector, tol: float) -> OrderedQz:
+    """Reorder a generalized Schur form of (E, A) so the selected eigenvalues lead.
+
+    LAPACK ``tgsen`` (ijob = 0; Kagstrom & Poromaa, Numer. Algorithms 12,
+    1996) swaps the diagonal blocks of ``form`` and updates U and V, so no
+    QZ runs. E and A give the infinite-eigenvalue and regularity thresholds.
+    Raises ConvergenceFailure when a swap is too ill-conditioned to keep the
+    form.
+    """
+    n = form.et.shape[0]
+    if n == 0:
+        return form
     inf_thresh = infinite_eigenvalue_threshold(e, a, tol)
 
     def picked(alpha, beta):
-        alpha = np.asarray(alpha)
-        beta = np.asarray(beta)
         infinite = np.abs(beta) <= inf_thresh
         lam = np.zeros(alpha.shape, dtype=complex)
         finite = ~infinite
@@ -218,13 +213,34 @@ def qz_ordered(e, a, selector: EigenvalueSelector, tol: float | None = None) -> 
         out[infinite] = selector.include_infinite
         return out
 
-    try:
-        at, et, alpha, beta, q, z = scipy.linalg.ordqz(a, e, sort=picked, output="real")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK-dependent
-        raise ConvergenceFailure(f"QZ iteration failed: {exc}") from exc
+    at, et, alphar, alphai, beta, q, z, *_, info = scipy.linalg.lapack.dtgsen(
+        picked(form.alpha, form.beta), form.at, form.et, form.u.T, form.v,
+        ijob=0, wantq=1, wantz=1, lwork=4 * n + 16, liwork=1,
+    )
+    if info != 0:
+        raise ConvergenceFailure(
+            f"reordering the generalized Schur form failed (tgsen info {info}); "
+            "swapping its eigenvalues is too ill-conditioned"
+        )
+    alpha = alphar + alphai * 1j
     _regularity_check(alpha, beta, e, a)
     split = int(np.count_nonzero(picked(alpha, beta)))
     return OrderedQz(u=q.T, v=z, et=et, at=at, split=split, alpha=alpha, beta=beta)
+
+
+def qz_ordered(e, a, selector: EigenvalueSelector, tol: float | None = None) -> OrderedQz:
+    """Ordered QZ decomposition of the pencil (E, A).
+
+    Computes orthogonal U, V with U E V = Et, U A V = At quasi-upper
+    triangular, reordered so the leading ``split`` x ``split`` block carries
+    exactly the eigenvalues picked by ``selector`` (infinite eigenvalues
+    according to its flag) and the trailing block the complement. It is the
+    QZ of ``pencil_eigendata`` followed by the ``tgsen`` reorder that the
+    block splits of ``systems`` apply to a system's stored form.
+    """
+    tol = default_tol(tol)
+    form = pencil_eigendata(e, a)
+    return _reorder(form, as_matrix(e, "E"), as_matrix(a, "A"), selector, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +255,11 @@ def _schur_form(a: np.ndarray, e: np.ndarray):
     diagonal block of ``qz_ordered``, is returned as is with identity factors,
     so no pencil is factored twice.
     """
-    sub = np.diagonal(a, -1) != 0.0
-    if not (np.tril(a, -2).any() or (sub[1:] & sub[:-1]).any() or np.tril(e, -1).any()):
+    i = np.arange(a.shape[0])
+    sub = a.diagonal(-1) != 0.0
+    below_sub = a[np.greater.outer(i, i + 1)]
+    below_diag = e[np.greater.outer(i, i)]
+    if not (below_sub.any() or (sub[1:] & sub[:-1]).any() or below_diag.any()):
         eye = np.eye(a.shape[0])
         return a, e, eye, eye
     try:
@@ -278,11 +297,17 @@ def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None
     if k == 0 or l == 0:
         return np.zeros((k, l)), np.zeros((k, l))
 
+    # On blocks already in Schur form no call below builds a keyword dict,
+    # as np.tril and keyword arguments to f2py wrappers do: whether such a
+    # dict is allocated afresh depends on CPython's free lists, so the bytes
+    # a call allocates, which traced benchmark runs compare between passes,
+    # would vary.
     s1, t1, q1, z1 = _schur_form(a1, e1)
     s3, t3, q3, z3 = _schur_form(a3, e3)
-    # In the Schur bases the unknowns are Z1^T R Z3 and Q1^T L Q3.
+    # In the Schur bases the unknowns are Z1^T R Z3 and Q1^T L Q3; the
+    # wrapper's default ijob = 0 solves without the dif estimate.
     r, m_l, scale, _, info = scipy.linalg.lapack.dtgsyl(
-        s1, s3, -(q1.T @ a2 @ z3), t1, t3, -(q1.T @ e2 @ z3), ijob=0
+        s1, s3, -(q1.T @ a2 @ z3), t1, t3, -(q1.T @ e2 @ z3)
     )
     if info != 0:
         raise NoUniqueSolution(

@@ -21,11 +21,12 @@ from .errors import (
     SpectrumViolation,
 )
 from .kernels import (
+    OrderedQz,
     _regularity_check,
+    _reorder,
     all_finite,
     infinite_eigenvalue_threshold,
     pencil_eigendata,
-    qz_ordered,
     solve_generalized_sylvester,
     svd,
     stable_or_infinite,
@@ -63,11 +64,12 @@ class DescriptorSystem:
 
     Construction validates dimensions, finiteness, and pencil regularity;
     every downstream operation may therefore assume a regular pencil. The
-    pencil eigendata (alpha, beta) of that validation is kept, so spectral
-    questions about the system need no further factorization.
+    generalized Schur form of (E, A) that validation computes is kept, so
+    the system is factored once: spectral questions read its diagonal, and
+    the Weierstrass split and the additive decomposition reorder it.
     """
 
-    __slots__ = ("e", "a", "b", "c", "d", "_alpha", "_beta")
+    __slots__ = ("e", "a", "b", "c", "d", "_schur")
 
     def __init__(self, e, a, b, c, d=None):
         e = as_matrix(e, "E")
@@ -90,11 +92,14 @@ class DescriptorSystem:
         if d.shape != (p, m):
             raise DimensionMismatch(f"D must be {p}x{m}, got {d.shape}")
         # pencil_eigendata raises SingularPencil when the pencil is degenerate.
-        self._store(e, a, b, c, d, *pencil_eigendata(e, a))
+        self._store(e, a, b, c, d, pencil_eigendata(e, a))
 
-    def _store(self, e, a, b, c, d, alpha, beta) -> None:
-        for name, m in zip(self.__slots__, (e, a, b, c, d, alpha, beta)):
+    def _store(self, e, a, b, c, d, schur: OrderedQz) -> None:
+        for name, m in zip(self.__slots__, (e, a, b, c, d)):
             setattr(self, name, _frozen(m))
+        for m in (schur.u, schur.v, schur.et, schur.at, schur.alpha, schur.beta):
+            m.flags.writeable = False
+        self._schur = schur
 
     @property
     def n(self) -> int:
@@ -112,17 +117,44 @@ class DescriptorSystem:
         return f"DescriptorSystem(n={self.n}, m={self.m}, p={self.p})"
 
 
-def _known_spectrum(e, a, b, c, d, alpha, beta) -> DescriptorSystem:
-    """A system whose pencil eigendata (alpha, beta) is known by construction.
+def _known_spectrum(e, a, b, c, d, schur: OrderedQz) -> DescriptorSystem:
+    """A system whose generalized Schur form ``schur`` is known by construction.
 
     Serves QZ diagonal blocks, direct sums and sign flips of validated
-    systems: the constructor's regularity criterion runs on the given data
-    instead of on a fresh factorization.
+    systems: the constructor's regularity criterion runs on the form's
+    diagonal data instead of on a fresh factorization.
     """
-    _regularity_check(alpha, beta, e, a)
+    _regularity_check(schur.alpha, schur.beta, e, a)
     s = object.__new__(DescriptorSystem)
-    s._store(e, a, b, c, d, alpha, beta)
+    s._store(e, a, b, c, d, schur)
     return s
+
+
+def _diagonal_block(oq: OrderedQz, lo: int, hi: int, b, c, d) -> DescriptorSystem:
+    """The diagonal block [lo:hi, lo:hi] of a generalized Schur form as a system.
+
+    Such a block is its own generalized Schur form, with U = V = I.
+    """
+    e = _frozen(oq.et[lo:hi, lo:hi])
+    a = _frozen(oq.at[lo:hi, lo:hi])
+    eye = np.eye(hi - lo)
+    schur = OrderedQz(
+        u=eye, v=eye, et=e, at=a, split=0, alpha=oq.alpha[lo:hi], beta=oq.beta[lo:hi]
+    )
+    return _known_spectrum(e, a, b, c, d, schur)
+
+
+def _mirror(s: DescriptorSystem) -> DescriptorSystem:
+    """The system (E, -A, B, -C, D), which realizes G(-s).
+
+    Its Schur form is the source's with At negated; the eigenvalues change
+    sign (conjugated too, which keeps LAPACK's order within complex pairs).
+    """
+    f = s._schur
+    schur = OrderedQz(
+        u=f.u, v=f.v, et=f.et, at=-f.at, split=0, alpha=-f.alpha.conj(), beta=f.beta
+    )
+    return _known_spectrum(s.e, -s.a, s.b, -s.c, s.d, schur)
 
 
 def empty_system(m: int, p: int, d=None) -> DescriptorSystem:
@@ -136,7 +168,7 @@ def empty_system(m: int, p: int, d=None) -> DescriptorSystem:
 
 def negate_output(s: DescriptorSystem) -> DescriptorSystem:
     """The system realizing -G(s); used to form error systems S + (-S_hat)."""
-    return _known_spectrum(s.e, s.a, s.b, -s.c, -s.d, s._alpha, s._beta)
+    return _known_spectrum(s.e, s.a, s.b, -s.c, -s.d, s._schur)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +204,15 @@ def pencil_spectrum(s: DescriptorSystem, tol: float | None = None) -> SpectrumRe
     Stable means every finite eigenvalue has Re < 0 (infinite allowed);
     antistable means every eigenvalue is finite with Re > 0 (E regular).
     Finite eigenvalues within the band |Re| <= tol * (1 + |lambda|) are
-    classified as axis eigenvalues. Reads the eigendata stored at
-    construction; every threshold comes from the system's own E and A.
+    classified as axis eigenvalues. Reads the diagonal of the Schur form
+    stored at construction; every threshold comes from the system's own E
+    and A.
     """
     tol = default_tol(tol)
-    inf_mask = np.abs(s._beta) <= infinite_eigenvalue_threshold(s.e, s.a, tol)
+    alpha, beta = s._schur.alpha, s._schur.beta
+    inf_mask = np.abs(beta) <= infinite_eigenvalue_threshold(s.e, s.a, tol)
     n_inf = int(np.count_nonzero(inf_mask))
-    finite = s._alpha[~inf_mask] / s._beta[~inf_mask]
+    finite = alpha[~inf_mask] / beta[~inf_mask]
     order = np.lexsort((finite.imag, finite.real))
     finite = finite[order]
 
@@ -318,9 +352,17 @@ def direct_sum(s1: DescriptorSystem, s2: DescriptorSystem) -> DescriptorSystem:
     b = np.vstack([s1.b, s2.b])
     c = np.hstack([s1.c, s2.c])
     d = s1.d + s2.d
-    alpha = np.concatenate([s1._alpha, s2._alpha])
-    beta = np.concatenate([s1._beta, s2._beta])
-    return _known_spectrum(e, a, b, c, d, alpha, beta)
+    f1, f2 = s1._schur, s2._schur
+    schur = OrderedQz(
+        u=scipy.linalg.block_diag(f1.u, f2.u),
+        v=scipy.linalg.block_diag(f1.v, f2.v),
+        et=scipy.linalg.block_diag(f1.et, f2.et),
+        at=scipy.linalg.block_diag(f1.at, f2.at),
+        split=0,
+        alpha=np.concatenate([f1.alpha, f2.alpha]),
+        beta=np.concatenate([f1.beta, f2.beta]),
+    )
+    return _known_spectrum(e, a, b, c, d, schur)
 
 
 def rse_transform(p, s: DescriptorSystem, q) -> DescriptorSystem:
@@ -349,13 +391,15 @@ def rse_transform(p, s: DescriptorSystem, q) -> DescriptorSystem:
 
 
 def _block_split(s: DescriptorSystem, selector, tol: float):
-    """Ordered QZ of (E, A) plus Sylvester decoupling of its two blocks.
+    """Reordered Schur form of (E, A) plus Sylvester decoupling of its two blocks.
 
-    Returns ``(oq, p, q)``: P (E, A) Q is block diagonal with the diagonal
-    blocks of ``oq.et``/``oq.at`` split at ``oq.split``, the leading block
-    carrying the eigenvalues the selector picks.
+    The system's stored generalized Schur form is reordered by LAPACK
+    ``tgsen``; no QZ runs. Returns ``(oq, p, q)``: P (E, A) Q is block
+    diagonal with the diagonal blocks of ``oq.et``/``oq.at`` split at
+    ``oq.split``, the leading block carrying the eigenvalues the selector
+    picks.
     """
-    oq = qz_ordered(s.e, s.a, selector, tol)
+    oq = _reorder(s._schur, s.e, s.a, selector, tol)
     k = oq.split
     n = s.n
     e1, e2, e3 = oq.et[:k, :k], oq.et[:k, k:], oq.et[k:, k:]
@@ -479,9 +523,7 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
             s_plus=s, s_minus=empty_system(s.m, s.p), p=eye, q=eye.copy()
         )
     if rep.stability_class is StabilityClass.ANTISTABLE:
-        s_minus = _known_spectrum(
-            s.e, s.a, s.b, s.c, np.zeros((s.p, s.m)), s._alpha, s._beta
-        )
+        s_minus = _known_spectrum(s.e, s.a, s.b, s.c, np.zeros((s.p, s.m)), s._schur)
         return AdditiveDecomposition(
             s_plus=empty_system(s.m, s.p, s.d), s_minus=s_minus, p=eye, q=eye.copy()
         )
@@ -490,14 +532,8 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
     k = oq.split
     b_t = p_mat @ s.b
     c_t = s.c @ q_mat
-    s_plus = _known_spectrum(
-        oq.et[:k, :k], oq.at[:k, :k], b_t[:k, :], c_t[:, :k], s.d,
-        oq.alpha[:k], oq.beta[:k],
-    )
-    s_minus = _known_spectrum(
-        oq.et[k:, k:], oq.at[k:, k:], b_t[k:, :], c_t[:, k:], np.zeros((s.p, s.m)),
-        oq.alpha[k:], oq.beta[k:],
-    )
+    s_plus = _diagonal_block(oq, 0, k, b_t[:k, :], c_t[:, :k], s.d)
+    s_minus = _diagonal_block(oq, k, s.n, b_t[k:, :], c_t[:, k:], np.zeros((s.p, s.m)))
     # The selector routed eigenvalues; reclassify to catch borderline drift.
     if pencil_spectrum(s_plus, tol).stability_class is not StabilityClass.STABLE:
         raise SpectrumViolation("separated slow part failed the stability check")

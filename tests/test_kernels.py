@@ -8,12 +8,14 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from stablekit import (
+    ConvergenceFailure,
     DimensionMismatch,
     EigenvalueSelector,
     NonSymmetricInput,
     NoUniqueSolution,
     SingularPencil,
     SpectrumViolation,
+    additive_decompose,
     all_finite,
     antistable_finite,
     pencil_eigendata,
@@ -103,8 +105,10 @@ def test_qz_reconstruction_orthogonality_and_split_property():
             1.0 + np.linalg.norm(a)
         )
         # eigenvalue multiset is preserved by the ordering
-        alpha0, beta0 = pencil_eigendata(e, a)
-        alpha1, beta1 = pencil_eigendata(res.et, res.at)
+        q0 = pencil_eigendata(e, a)
+        alpha0, beta0 = q0.alpha, q0.beta
+        q1 = pencil_eigendata(res.et, res.at)
+        alpha1, beta1 = q1.alpha, q1.beta
         thresh = 1e-8 * (np.linalg.norm(e) + np.linalg.norm(a))
         fin0 = alpha0[np.abs(beta0) > thresh] / beta0[np.abs(beta0) > thresh]
         fin1 = alpha1[np.abs(beta1) > thresh] / beta1[np.abs(beta1) > thresh]
@@ -112,14 +116,16 @@ def test_qz_reconstruction_orthogonality_and_split_property():
         # split: leading block spectrum inside the selected set
         k = res.split
         if 0 < k:
-            al, bl = pencil_eigendata(res.et[:k, :k], res.at[:k, :k])
+            ql = pencil_eigendata(res.et[:k, :k], res.at[:k, :k])
+            al, bl = ql.alpha, ql.beta
             inf_l = np.abs(bl) <= thresh
             lead = al[~inf_l] / bl[~inf_l]
             assert np.all(selector.finite(lead))
             if np.any(inf_l):
                 assert selector.include_infinite
         if k < n:
-            at, bt = pencil_eigendata(res.et[k:, k:], res.at[k:, k:])
+            qt = pencil_eigendata(res.et[k:, k:], res.at[k:, k:])
+            at, bt = qt.alpha, qt.beta
             inf_t = np.abs(bt) <= thresh
             trail = at[~inf_t] / bt[~inf_t]
             assert not np.any(selector.finite(trail))
@@ -137,6 +143,28 @@ def test_qz_rejects_singular_pencil():
 def test_qz_rejects_dimension_mismatch():
     with pytest.raises((SingularPencil, DimensionMismatch)):
         qz_ordered(np.eye(2), np.eye(3), stable_or_infinite())
+
+
+def test_failed_reorder_raises_convergence_failure(monkeypatch, tmp_path, capsys):
+    from stablekit.cli import main
+    from stablekit.dsysio import save_dsys
+
+    s = random_unstable_system(8, 3, seed=5, m=2, p=2)
+    path = tmp_path / "s.dsys"
+    save_dsys(path, s)
+    tgsen = scipy.linalg.lapack.dtgsen
+
+    def ill_conditioned_swap(*args, **kwargs):
+        *out, _ = tgsen(*args, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtgsen", ill_conditioned_swap)
+    with pytest.raises(ConvergenceFailure):
+        qz_ordered(s.e, s.a, stable_or_infinite())
+    with pytest.raises(ConvergenceFailure):
+        additive_decompose(s)
+    assert main(["approx", str(path), "--norm", "h2", "-o", str(tmp_path / "out.dsys")]) == 1
+    assert "reordering the generalized Schur form failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +469,8 @@ def test_pencil_eigendata_matches_numpy_on_regular_e():
         if abs(np.linalg.det(e)) < 0.1:
             continue
         a = rng.standard_normal((n, n))
-        alpha, beta = pencil_eigendata(e, a)
-        got = alpha / beta
+        form = pencil_eigendata(e, a)
+        got = form.alpha / form.beta
         assert_eigen_multisets_close(got, pencil_eigenvalues_np(e, a), tol=1e-7)
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import stablekit.systems as systems
@@ -16,15 +17,21 @@ from stablekit import (
     SingularTransform,
     StabilityClass,
     additive_decompose,
+    all_finite,
     direct_sum,
     empty_system,
     frequency_response,
     gramians,
+    linf_error,
     negate_output,
     pencil_spectrum,
+    qz_ordered,
     response_at_infinity,
+    rl2_norm,
     rse_transform,
+    solve_ap2,
     solve_apinf,
+    stable_or_infinite,
     transfer_eval,
     weierstrass_split,
 )
@@ -462,23 +469,123 @@ def test_decompose_properties_on_random_systems():
             assert np.linalg.norm(g - gsum) <= 1e-8 * (1.0 + np.linalg.norm(g))
 
 
-def test_solve_factors_the_full_pencil_once(monkeypatch):
-    s = random_unstable_system(40, 2, seed=29, m=2, p=2)
+def count_qz(monkeypatch):
+    """Record the order of every QZ that SciPy runs, ordered or not."""
     sizes = []
+    for name in ("qz", "ordqz"):
 
-    def counted(fn):
-        def wrapper(e, a, *args, **kwargs):
-            sizes.append(np.shape(e)[0])
-            return fn(e, a, *args, **kwargs)
+        def counted(a, b, *args, _fn=getattr(scipy.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[0])
+            return _fn(a, b, *args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    return sizes
 
-    for name in ("qz_ordered", "pencil_eigendata"):
-        monkeypatch.setattr(systems, name, counted(getattr(systems, name)))
+
+def test_solve_factors_no_full_size_pencil_after_construction(monkeypatch):
+    s = random_unstable_system(40, 2, seed=29, m=2, p=2)
+    sizes = count_qz(monkeypatch)
     pencil_spectrum(s)
     assert sizes == []
     solve_apinf(s)
-    assert sizes.count(s.n) == 1
+    assert sizes.count(s.n) == 0
+    assert sizes  # the approximant's public construction still runs its QZ
+
+
+def bumped_descriptor_system(seed, n=12, n_unstable=6):
+    """Seeded system with complex pairs (2x2 bumps) on both sides of the axis
+    and an index-2 nilpotent block, mixed by random orthogonal factors."""
+    rng = np.random.default_rng(seed)
+    s = random_unstable_system(n, n_unstable, seed=rng, m=2, p=2)
+    e0 = scipy.linalg.block_diag(np.eye(n), [[0.0, 1.0], [0.0, 0.0]])
+    a0 = scipy.linalg.block_diag(s.a, np.eye(2))
+    b0 = np.vstack([s.b, rng.standard_normal((2, 2))])
+    c0 = np.hstack([s.c, rng.standard_normal((2, 2))])
+    u, _ = np.linalg.qr(rng.standard_normal((n + 2, n + 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((n + 2, n + 2)))
+    return DescriptorSystem(u @ e0 @ v, u @ a0 @ v, u @ b0, c0 @ v)
+
+
+def test_error_norms_factor_nothing_after_solve(monkeypatch):
+    s = bumped_descriptor_system(11)
+    assert pencil_spectrum(s).n_infinite == 2
+    r = solve_apinf(s)
+    h2 = solve_ap2(s)
+    sizes = count_qz(monkeypatch)
+    grid = linf_error(s, r.system)
+    # the CLI's error system, once for each approximant
+    rl2_norm(direct_sum(s, negate_output(r.system)))
+    err_h2 = rl2_norm(direct_sum(s, negate_output(h2.system)))
+    assert sizes == []
+    assert grid.max_value >= r.sigma1 * (1.0 - 1e-8)
+    assert err_h2 == pytest.approx(h2.diagnostics["error_l2"], rel=1e-8)
+
+
+def assert_schur_form(s):
+    """The stored form of ``s`` is a real generalized Schur form of (E, A)."""
+    f = s._schur
+    n = s.n
+    assert f.split == 0
+    assert f.u.shape == f.v.shape == f.et.shape == f.at.shape == (n, n)
+    assert f.alpha.shape == f.beta.shape == (n,)
+    if n == 0:
+        return
+    assert np.linalg.norm(f.u @ s.e @ f.v - f.et) <= 1e-12 * np.linalg.norm(s.e)
+    assert np.linalg.norm(f.u @ s.a @ f.v - f.at) <= 1e-12 * np.linalg.norm(s.a)
+    for x in (f.u, f.v):
+        assert np.linalg.norm(x.T @ x - np.eye(n)) <= 1e-12
+    # T upper triangular; S quasi-triangular with isolated 2x2 bumps
+    assert not np.tril(f.et, -1).any()
+    assert not np.tril(f.at, -2).any()
+    sub = np.diagonal(f.at, -1) != 0.0
+    assert not (sub[1:] & sub[:-1]).any()
+    k = 0
+    while k < n:
+        if k + 1 < n and sub[k]:
+            lam = scipy.linalg.eigvals(f.at[k : k + 2, k : k + 2], f.et[k : k + 2, k : k + 2])
+            assert_eigen_multisets_close(f.alpha[k : k + 2] / f.beta[k : k + 2], lam, tol=1e-10)
+            k += 2
+        else:
+            assert f.alpha[k] == f.at[k, k] and f.beta[k] == f.et[k, k]
+            k += 1
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_stored_schur_form_on_every_construction_path(seed):
+    s = bumped_descriptor_system(seed)
+    assert np.diagonal(s._schur.at, -1).any()
+    assert pencil_spectrum(s).n_infinite == 2
+    dec = additive_decompose(s)
+    anti = random_antistable_system(5, seed=seed, m=2, p=2)
+    paths = {
+        "public constructor": s,
+        "stable block": dec.s_plus,
+        "antistable block": dec.s_minus,
+        "direct sum": direct_sum(dec.s_plus, dec.s_minus),
+        "error system": direct_sum(s, negate_output(s)),
+        "negate_output": negate_output(s),
+        "antistable early return": additive_decompose(anti).s_minus,
+        "mirror": systems._mirror(s),
+        "empty_system": empty_system(2, 2),
+        "n = 0": DescriptorSystem(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0))),
+    }
+    for t in paths.values():
+        assert_schur_form(t)
+    assert dec.s_plus.n == 8 and dec.s_minus.n == 6
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_block_split_reorders_like_qz_ordered(seed):
+    s = bumped_descriptor_system(seed)
+    for selector in (stable_or_infinite(), all_finite()):
+        oq, p_mat, q_mat = systems._block_split(s, selector, 1e-10)
+        ref = qz_ordered(s.e, s.a, selector, 1e-10)
+        assert oq.split == ref.split
+        for name in ("u", "v", "et", "at", "alpha", "beta"):
+            assert np.array_equal(getattr(oq, name), getattr(ref, name)), name
+        k = oq.split
+        for m in (p_mat @ s.e @ q_mat, p_mat @ s.a @ q_mat):
+            assert np.linalg.norm(m[:k, k:]) <= 1e-10 * np.linalg.norm(m)
 
 
 def test_decompose_routes_infinite_eigenvalues_to_stable_part():
