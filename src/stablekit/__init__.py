@@ -29,7 +29,6 @@ from .errors import (
     NegativeSpectrum,
     NoUniqueSolution,
     NonFiniteSample,
-    NonSymmetricInput,
     NonzeroFeedthrough,
     NotMinimal,
     NotStandardForm,
@@ -61,7 +60,6 @@ from .kernels import (
     antistable_finite,
     pencil_eigendata,
     qz_ordered,
-    solve_generalized_lyapunov,
     solve_generalized_sylvester,
     stable_or_infinite,
     svd,

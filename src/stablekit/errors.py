@@ -12,7 +12,6 @@ __all__ = [
     "SingularPencil",
     "NoUniqueSolution",
     "SpectrumViolation",
-    "NonSymmetricInput",
     "ConvergenceFailure",
     "AtPole",
     "SingularTransform",
@@ -47,10 +46,6 @@ class NoUniqueSolution(StablekitError):
 
 class SpectrumViolation(StablekitError):
     """The pencil spectrum is outside the region required by the operation."""
-
-
-class NonSymmetricInput(StablekitError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
 
 
 class ConvergenceFailure(StablekitError):

@@ -4,9 +4,10 @@ The Gramians of an antistable descriptor system solve
 
     A Xc E^T + E Xc A^T + B B^T = 0,      A^T Xo E + E^T Xo A + C^T C = 0,
 
-and are negative semidefinite. The largest Hankel singular value is
-sigma_1 = sqrt(max eig(Xc E^T Xo E)), a realization invariant. Norms:
-the L2 norm of a strictly proper antistable transfer is
+and are negative semidefinite. They are solved on the generalized Schur
+form each system stores, so no factorization runs here. The largest Hankel
+singular value is sigma_1 = sqrt(max eig(Xc E^T Xo E)), a realization
+invariant. Norms: the L2 norm of a strictly proper antistable transfer is
 sqrt(trace(C (-Xc) C^T)); the L-infinity norm is evaluated by adaptive
 sampling of the frequency response.
 """
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     AtPole,
@@ -27,7 +29,6 @@ from .errors import (
     NotStandardForm,
     SpectrumViolation,
 )
-from .kernels import solve_generalized_lyapunov
 from .systems import (
     DescriptorSystem,
     StabilityClass,
@@ -69,8 +70,33 @@ class GramianPair:
     residual_o: float
 
 
+def _quasi_triangular_lyapunov(f: np.ndarray, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+    """Solve F X + X F^T = rhs (F^T X + X F when ``transpose``) with LAPACK ``trsyl``.
+
+    F must be quasi-upper triangular with its spectrum in the open right
+    half-plane, so that F and -F^T share no eigenvalue.
+    """
+    trana, tranb = ("T", "N") if transpose else ("N", "T")
+    x, scale, info = scipy.linalg.lapack.dtrsyl(f, f, rhs, trana=trana, tranb=tranb)
+    if info != 0:
+        raise SpectrumViolation(
+            f"Lyapunov solver failed (trsyl info {info}); the pencil spectrum "
+            "is numerically not antistable"
+        )
+    return x / scale
+
+
 def gramians(s: DescriptorSystem, tol: float | None = None) -> GramianPair:
-    """Solve both generalized Lyapunov equations of an antistable system."""
+    """Solve both generalized Lyapunov equations of an antistable system.
+
+    Bartels-Stewart on the stored generalized Schur form U E V = T,
+    U A V = S (Penzl, Adv. Comput. Math. 8, 1998). T is regular because
+    every eigenvalue is finite, and F = T^{-1} S keeps the quasi-triangular
+    pattern of S, so each equation is one ``trsyl`` solve:
+
+        F Y + Y F^T = -G G^T,  G = T^{-1} U B,  Xc = V Y V^T;
+        F^T W + W F = -H^T H,  H = C V,         Xo = M^T W M,  M = T^{-1} U.
+    """
     tol = default_tol(tol)
     rep = pencil_spectrum(s, tol)
     if rep.stability_class is not StabilityClass.ANTISTABLE:
@@ -78,10 +104,21 @@ def gramians(s: DescriptorSystem, tol: float | None = None) -> GramianPair:
             "Gramians are defined here only for antistable systems; "
             f"spectrum classifies as {rep.stability_class.value}"
         )
+    form = s._schur
+    n = s.n
+    # F = T^{-1} S and M = T^{-1} U from one triangular solve
+    f_m = scipy.linalg.solve_triangular(form.et, np.hstack([form.at, form.u]))
+    f, m = f_m[:, :n], f_m[:, n:]
+    g = m @ s.b
+    h = s.c @ form.v
+    y = _quasi_triangular_lyapunov(f, -(g @ g.T), transpose=False)
+    w = _quasi_triangular_lyapunov(f, -(h.T @ h), transpose=True)
+    xc = form.v @ y @ form.v.T
+    xo = m.T @ w @ m
+    xc = 0.5 * (xc + xc.T)
+    xo = 0.5 * (xo + xo.T)
     wc = s.b @ s.b.T
     wo = s.c.T @ s.c
-    xc = solve_generalized_lyapunov(s.e, s.a, wc, "controllability", tol)
-    xo = solve_generalized_lyapunov(s.e, s.a, wo, "observability", tol)
     res_c = fro(s.a @ xc @ s.e.T + s.e @ xc @ s.a.T + wc)
     res_o = fro(s.a.T @ xo @ s.e + s.e.T @ xo @ s.a + wo)
     return GramianPair(xc=xc, xo=xo, residual_c=res_c, residual_o=res_o)
@@ -109,12 +146,6 @@ class HankelData:
 _MULTIPLICITY_RTOL = 1e-8
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
-
-
 def hankel_sigma_max(
     s: DescriptorSystem, gr: GramianPair, tol: float | None = None
 ) -> HankelData:
@@ -131,9 +162,9 @@ def hankel_sigma_max(
     if n == 0:
         return HankelData(sigma1=0.0, spectrum=np.zeros(0), multiplicity_estimate=0)
     neg_floor = tol * max(fro(gr.xc) * fro(gr.xo), 1.0)
-    wc = np.linalg.eigvalsh(0.5 * (-(gr.xc) + -(gr.xc).T))
+    wc, vc = np.linalg.eigh(0.5 * (-(gr.xc) + -(gr.xc).T))
     if wc.min() >= -tol * max(1.0, wc.max(initial=0.0)):
-        root = _psd_sqrt(-gr.xc)
+        root = (vc * np.sqrt(np.clip(wc, 0.0, None))) @ vc.T
         core = root @ s.e.T @ (-gr.xo) @ s.e @ root
         mu = np.linalg.eigvalsh(0.5 * (core + core.T))
     else:  # pragma: no cover - defensive; theory gives -Xc >= 0

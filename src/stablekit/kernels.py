@@ -1,10 +1,10 @@
-"""Dense real matrix factorizations and two-sided matrix-equation solvers.
+"""Dense real matrix factorizations and the coupled Sylvester solver.
 
-This module wraps the LAPACK-backed factorizations (ordered QZ and SVD)
-behind the contracts the rest of the package relies on, and implements
-the two coupled-equation solvers: the generalized Sylvester equation used to
-block-diagonalize a triangularized pencil, and the generalized Lyapunov
-equation whose solutions are the system Gramians.
+This module wraps the LAPACK-backed factorizations (generalized Schur form,
+its ``tgsen`` reordering, and SVD) behind the contracts the rest of the
+package relies on, and solves the coupled generalized Sylvester equation
+that block-diagonalizes a triangularized pencil. The Gramians' Lyapunov
+equations are solved in ``gramians``, on the Schur form a system stores.
 
 All operations are pure functions over immutable inputs.
 """
@@ -20,10 +20,8 @@ import scipy.linalg
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    NonSymmetricInput,
     NoUniqueSolution,
     SingularPencil,
-    SpectrumViolation,
 )
 from .util import EPS, as_matrix, default_tol, fro, require_square
 
@@ -37,7 +35,6 @@ __all__ = [
     "pencil_eigendata",
     "qz_ordered",
     "solve_generalized_sylvester",
-    "solve_generalized_lyapunov",
     "svd",
 ]
 
@@ -327,74 +324,6 @@ def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None
             "numerically not disjoint"
         )
     return r, m_l
-
-
-# ---------------------------------------------------------------------------
-# Generalized Lyapunov equation
-
-
-def solve_generalized_lyapunov(e, a, w, side: str, tol: float | None = None):
-    """Solve A X E^T + E X A^T + W = 0 or A^T X E + E^T X A + W = 0.
-
-    ``side`` is ``"controllability"`` for the first form (W = B B^T) and
-    ``"observability"`` for the second (W = C^T C). Requires E regular and
-    the pencil spectrum strictly inside the open right half-plane, which
-    guarantees a unique symmetric solution; the result is explicitly
-    symmetrized before return.
-
-    The solve reduces to standard form with F = E^{-1} A (an explicit inverse
-    is acceptable: E is regular by contract and desk scale) and delegates the
-    standard equation to a Bartels-Stewart backend.
-    """
-    tol = default_tol(tol)
-    e = as_matrix(e, "E")
-    a = as_matrix(a, "A")
-    w = as_matrix(w, "W")
-    n = require_square(e, "E")
-    require_square(a, "A")
-    require_square(w, "W")
-    if a.shape[0] != n or w.shape[0] != n:
-        raise DimensionMismatch(
-            f"E, A, W must share one order, got {e.shape}, {a.shape}, {w.shape}"
-        )
-    if side not in ("controllability", "observability"):
-        raise ValueError(f"side must be 'controllability' or 'observability', got {side!r}")
-    if n == 0:
-        return np.zeros((0, 0))
-
-    if fro(w - w.T) > tol * (1.0 + fro(w)):
-        raise NonSymmetricInput("right-hand side W must be symmetric")
-    w = 0.5 * (w + w.T)
-
-    try:
-        f = scipy.linalg.solve(e, a)
-        e_inv = scipy.linalg.solve(e, np.eye(n))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SpectrumViolation(
-            "E is singular; the generalized Lyapunov equation requires a "
-            "regular E (finite spectrum)"
-        ) from exc
-
-    lam = scipy.linalg.eigvals(f)
-    band = tol * (1.0 + np.abs(lam))
-    bad = lam.real <= band
-    if bad.any():
-        worst = lam[bad][np.argmin(lam[bad].real)]
-        raise SpectrumViolation(
-            "pencil spectrum must lie strictly in the open right half-plane; "
-            f"found eigenvalue {worst:.6g}"
-        )
-
-    if side == "controllability":
-        # F X + X F^T = -E^{-1} W E^{-T}
-        q = e_inv @ w @ e_inv.T
-        x = scipy.linalg.solve_continuous_lyapunov(f, -q)
-    else:
-        # Substituting Y = E^T X E turns the dual equation into
-        # F^T Y + Y F = -W.
-        y = scipy.linalg.solve_continuous_lyapunov(f.T, -w)
-        x = e_inv.T @ y @ e_inv
-    return 0.5 * (x + x.T)
 
 
 # ---------------------------------------------------------------------------

@@ -2,44 +2,34 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = ["EPS", "ENV_TOL", "default_tol", "as_matrix", "require_square", "fro"]
+__all__ = ["EPS", "default_tol", "as_matrix", "require_square", "fro"]
 
 #: Machine epsilon for IEEE binary64, the only scalar type used.
 EPS = float(np.finfo(np.float64).eps)
 
-#: Environment variable overriding the package-wide default tolerance.
-ENV_TOL = "STABLEKIT_TOL"
-
 
 def default_tol(tol: float | None = None) -> float:
-    """Resolve an effective tolerance.
-
-    Precedence: explicit argument, then the ``STABLEKIT_TOL`` environment
-    variable, then the package default ``1e-10``.
-    """
+    """Resolve an effective tolerance: the argument, else the default ``1e-10``."""
     if tol is not None:
         tol = float(tol)
         if not (tol > 0.0) or not np.isfinite(tol):
             raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
         return tol
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
-        return default_tol(float(env))
     return 1e-10
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce ``x`` to a 2-D float64 array and reject non-finite entries.
+    """Coerce ``x`` to a 2-D float64 array and reject complex or non-finite entries.
 
     Scalars and 1-element nests are accepted and become 1x1 matrices, which
     keeps scalar examples readable in tests and docstrings.
     """
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} contains complex entries; only real matrices are supported")
     m = np.array(x, dtype=np.float64, order="C", copy=True)
     if m.ndim == 0:
         m = m.reshape(1, 1)

@@ -3,8 +3,9 @@
 Everything here is deliberately written against plain numpy primitives
 (``solve``, ``qr``, dense arithmetic) so that agreement between the library
 and these helpers carries evidential weight: transfer values come from raw
-linear solves, L2 norms from adaptive Simpson quadrature, characteristic
-polynomials from the Faddeev-LeVerrier recursion.
+linear solves, L2 norms from adaptive Simpson quadrature, Gramians from
+dense Kronecker solves. The random fixtures at the end build their systems
+through the public constructor.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
+
+from stablekit import DescriptorSystem
+from stablekit.synth import random_unstable_system
 
 # ---------------------------------------------------------------------------
 # Transfer-function evaluation from first principles
@@ -127,6 +132,26 @@ def pencil_eigenvalues_np(e, a):
 
 
 # ---------------------------------------------------------------------------
+# Gramians from dense Kronecker solves
+
+
+def gramians_kron(s):
+    """(Xc, Xo) solving A Xc E^T + E Xc A^T + B B^T = 0 and
+    A^T Xo E + E^T Xo A + C^T C = 0 as n^2 x n^2 linear systems.
+
+    With column-major vec, vec(M X N) = (N^T kron M) vec(X). Meant for
+    n <= 12 or so: the solve costs O(n^6).
+    """
+    e, a, b, c = s.e, s.a, s.b, s.c
+    n = e.shape[0]
+    k_c = np.kron(e, a) + np.kron(a, e)
+    k_o = np.kron(e.T, a.T) + np.kron(a.T, e.T)
+    xc = np.linalg.solve(k_c, -(b @ b.T).ravel(order="F"))
+    xo = np.linalg.solve(k_o, -(c.T @ c).ravel(order="F"))
+    return xc.reshape((n, n), order="F"), xo.reshape((n, n), order="F")
+
+
+# ---------------------------------------------------------------------------
 # Random fixtures
 
 
@@ -137,6 +162,20 @@ def random_regular(rng, n, spread=(0.5, 2.0)):
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (q1 * rng.uniform(spread[0], spread[1], size=n)) @ q2
+
+
+def bumped_descriptor_system(seed, n=12, n_unstable=6):
+    """Seeded system with complex pairs (2x2 bumps) on both sides of the axis
+    and an index-2 nilpotent block, mixed by random orthogonal factors."""
+    rng = np.random.default_rng(seed)
+    s = random_unstable_system(n, n_unstable, seed=rng, m=2, p=2)
+    e0 = scipy.linalg.block_diag(np.eye(n), [[0.0, 1.0], [0.0, 0.0]])
+    a0 = scipy.linalg.block_diag(s.a, np.eye(2))
+    b0 = np.vstack([s.b, rng.standard_normal((2, 2))])
+    c0 = np.hstack([s.c, rng.standard_normal((2, 2))])
+    u, _ = np.linalg.qr(rng.standard_normal((n + 2, n + 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((n + 2, n + 2)))
+    return DescriptorSystem(u @ e0 @ v, u @ a0 @ v, u @ b0, c0 @ v)
 
 
 def random_antistable_tri(rng, n, lo=0.2, hi=3.0):

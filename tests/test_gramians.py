@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+import stablekit.systems as systems
 from stablekit import (
     DescriptorSystem,
     NonFiniteSample,
@@ -11,19 +13,28 @@ from stablekit import (
     NotMinimal,
     NotStandardForm,
     SpectrumViolation,
+    additive_decompose,
     balanced_realization,
+    direct_sum,
     frequency_response,
     gramians,
     h2_norm_antistable,
     hankel_sigma_max,
     linf_error,
     linf_of,
+    negate_output,
     rl2_norm,
     rse_transform,
 )
 from stablekit.synth import random_antistable_system, random_unstable_system
 
-from oracles import eval_transfer_np, quad_l2_diff, random_regular
+from oracles import (
+    bumped_descriptor_system,
+    eval_transfer_np,
+    gramians_kron,
+    quad_l2_diff,
+    random_regular,
+)
 
 
 def scalar_system(e, a, b, c, d=0.0):
@@ -99,6 +110,87 @@ def test_gramians_properties_random():
         # independent residual recomputation
         res_c = np.linalg.norm(s.a @ gr.xc @ s.e.T + s.e @ gr.xc @ s.a.T + s.b @ s.b.T)
         assert res_c <= 1e-10 * scale_c
+
+
+def assert_gramians_match_kron(s):
+    gr = gramians(s)
+    xc, xo = gramians_kron(s)
+    assert np.linalg.norm(gr.xc - xc) <= 1e-10 * np.linalg.norm(xc)
+    assert np.linalg.norm(gr.xo - xo) <= 1e-10 * np.linalg.norm(xo)
+    assert gr.residual_c <= 1e-10 * max(1.0, np.linalg.norm(s.b) ** 2)
+    assert gr.residual_o <= 1e-10 * max(1.0, np.linalg.norm(s.c) ** 2)
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_gramians_on_every_construction_path(seed):
+    rng = np.random.default_rng(seed)
+    standard = random_antistable_system(5, seed=rng, m=2, p=2)
+    w, v = random_regular(rng, 6), random_regular(rng, 6)
+    descriptor = rse_transform(w, random_antistable_system(6, seed=rng, m=2, p=2), v)
+    bumped = bumped_descriptor_system(seed, n=10, n_unstable=4)
+    dec = additive_decompose(bumped)
+    paths = {
+        "public constructor, E = I": standard,
+        "public constructor, descriptor E": descriptor,
+        "additive_decompose block": dec.s_minus,
+        "antistable early return": additive_decompose(descriptor).s_minus,
+        "negate_output": negate_output(descriptor),
+        "direct_sum": direct_sum(standard, descriptor),
+        "mirrored part of rl2_norm": additive_decompose(systems._mirror(dec.s_plus)).s_minus,
+    }
+    for s in paths.values():
+        assert np.diagonal(s._schur.at, -1).any()  # 2x2 bumps in the form
+        assert 0 < s.n <= 12
+        assert_gramians_match_kron(s)
+    for name in ("public constructor, E = I", "public constructor, descriptor E"):
+        f = paths[name]._schur
+        assert not np.allclose(f.u, np.eye(f.u.shape[0]))
+        assert not np.allclose(f.v, np.eye(f.v.shape[0]))
+    for name in ("additive_decompose block", "mirrored part of rl2_norm"):
+        f = paths[name]._schur
+        assert np.array_equal(f.u, np.eye(f.u.shape[0]))
+        assert np.array_equal(f.v, np.eye(f.v.shape[0]))
+
+
+# general LU, nonsymmetric eigensolvers, Schur/QZ, and a dense Lyapunov solver
+FACTORIZATIONS = {
+    scipy.linalg: (
+        "solve", "lu_factor", "inv", "eig", "eigvals", "schur", "qz", "ordqz",
+        "solve_continuous_lyapunov",
+    ),
+    np.linalg: ("solve", "inv", "eig", "eigvals"),
+}
+
+
+def test_gramians_run_no_factorization(monkeypatch):
+    s = rse_transform(
+        random_regular(np.random.default_rng(3), 8),
+        random_antistable_system(8, seed=4, m=2, p=2),
+        np.eye(8),
+    )
+    calls = []
+    for module, names in FACTORIZATIONS.items():
+        for name in names:
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    gr = gramians(s)
+    assert calls == []
+    assert gr.residual_c <= 1e-10 * max(1.0, np.linalg.norm(s.b) ** 2)
+    DescriptorSystem(s.e, s.a, s.b, s.c)
+    assert calls  # the public constructor's QZ is seen
+
+
+def test_gramians_failed_trsyl_raises_spectrum_violation(monkeypatch):
+    def failing(a, b, c, **kwargs):
+        return np.zeros_like(c), 1.0, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", failing)
+    with pytest.raises(SpectrumViolation, match="trsyl info 1"):
+        gramians(ROTATE2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from stablekit import (
     write_freqresp_csv,
 )
 from stablekit.synth import random_unstable_system
-from stablekit.util import ENV_TOL, default_tol
+from stablekit.util import default_tol
 
 from oracles import eval_transfer_np
 
@@ -212,12 +212,9 @@ def test_csv_rejects_shape_mismatch():
 # tolerance resolution
 
 
-def test_default_tol_precedence(monkeypatch):
-    monkeypatch.delenv(ENV_TOL, raising=False)
+def test_default_tol_precedence():
     assert default_tol(None) == 1e-10
     assert default_tol(1e-8) == 1e-8
-    monkeypatch.setenv(ENV_TOL, "1e-6")
-    assert default_tol(None) == 1e-6
     assert default_tol(1e-12) == 1e-12
     with pytest.raises(ValueError):
         default_tol(-1e-10)

@@ -9,18 +9,18 @@ from numpy.testing import assert_allclose
 
 from stablekit import (
     ConvergenceFailure,
+    DescriptorSystem,
     DimensionMismatch,
     EigenvalueSelector,
-    NonSymmetricInput,
     NoUniqueSolution,
     SingularPencil,
     SpectrumViolation,
     additive_decompose,
     all_finite,
     antistable_finite,
+    gramians,
     pencil_eigendata,
     qz_ordered,
-    solve_generalized_lyapunov,
     solve_generalized_sylvester,
     random_unstable_system,
     stable_or_infinite,
@@ -354,47 +354,43 @@ def test_sylvester_memory_stays_small():
 
 
 # ---------------------------------------------------------------------------
-# solve_generalized_lyapunov
+# Generalized Lyapunov equations, solved by ``gramians`` on the stored Schur form
+#
+# With C = B^T both equations have the forcing W = B B^T:
+#   A Xc E^T + E Xc A^T + W = 0  and  A^T Xo E + E^T Xo A + W = 0.
+
+
+def lyapunov_pair(e, a, b):
+    gr = gramians(DescriptorSystem(e, a, b, np.transpose(b)))
+    return {"controllability": gr.xc, "observability": gr.xo}
 
 
 def test_lyapunov_scalar_closed_form():
     one = np.array([[1.0]])
-    x = solve_generalized_lyapunov(one, one, one, "controllability")
-    assert_allclose(x, [[-0.5]], atol=1e-14)
+    for x in lyapunov_pair(one, one, one).values():
+        assert_allclose(x, [[-0.5]], atol=1e-14)
 
 
 def test_lyapunov_zero_forcing():
     e = np.eye(2)
     a = np.diag([1.0, 2.0])
-    x = solve_generalized_lyapunov(e, a, np.zeros((2, 2)), "controllability")
-    assert_allclose(x, 0.0, atol=1e-14)
+    for x in lyapunov_pair(e, a, np.zeros((2, 1))).values():
+        assert_allclose(x, 0.0, atol=1e-14)
 
 
 def test_lyapunov_hand_verified_two_state():
     e = np.eye(2)
     a = np.array([[1.0, 0.5], [-0.5, 0.0]])
-    w = np.diag([2.0, 0.0])
-    x = solve_generalized_lyapunov(e, a, w, "controllability")
-    # A(-I) + (-I)A^T + diag(2, 0) = 0 holds by hand
-    assert_allclose(x, -np.eye(2), atol=1e-12)
-
-
-def test_lyapunov_rejects_nonsymmetric_forcing():
-    with pytest.raises(NonSymmetricInput):
-        solve_generalized_lyapunov(
-            np.eye(2), np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), "controllability"
-        )
-
-
-def test_lyapunov_rejects_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        solve_generalized_lyapunov(np.eye(2), np.eye(3), np.eye(2), "controllability")
+    b = np.array([[np.sqrt(2.0)], [0.0]])
+    # A(-I) + (-I)A^T + diag(2, 0) = 0 holds by hand, and so does its transpose
+    for x in lyapunov_pair(e, a, b).values():
+        assert_allclose(x, -np.eye(2), atol=1e-12)
 
 
 def test_lyapunov_rejects_stable_spectrum():
     one = np.array([[1.0]])
     with pytest.raises(SpectrumViolation):
-        solve_generalized_lyapunov(one, -one, one, "controllability")
+        lyapunov_pair(one, -one, one)
 
 
 def test_lyapunov_residual_and_symmetry_property_loop():
@@ -415,8 +411,7 @@ def test_lyapunov_residual_and_symmetry_property_loop():
             e = np.eye(n)
         b = rng.standard_normal((n, max(1, n // 2)))
         w = b @ b.T
-        for side in ("controllability", "observability"):
-            x = solve_generalized_lyapunov(e, a, w, side)
+        for side, x in lyapunov_pair(e, a, b).items():
             assert np.linalg.norm(x - x.T) <= 1e-12
             if side == "controllability":
                 res = a @ x @ e.T + e @ x @ a.T + w

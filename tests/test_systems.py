@@ -1,6 +1,7 @@
 """Descriptor-system model, spectra, transfer evaluation, and decomposition."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,8 +37,14 @@ from stablekit import (
     weierstrass_split,
 )
 from stablekit.synth import random_antistable_system, random_unstable_system
+from stablekit.util import as_matrix
 
-from oracles import assert_eigen_multisets_close, eval_transfer_np, random_regular
+from oracles import (
+    assert_eigen_multisets_close,
+    bumped_descriptor_system,
+    eval_transfer_np,
+    random_regular,
+)
 
 
 def scalar_system(e, a, b, c, d=0.0):
@@ -69,6 +76,24 @@ def test_construction_rejects_nonfinite_entries():
         DescriptorSystem([[np.nan]], [[1.0]], [[1.0]], [[1.0]])
     with pytest.raises(ValueError):
         DescriptorSystem([[1.0]], [[np.inf]], [[1.0]], [[1.0]])
+
+
+def test_construction_rejects_complex_entries():
+    # no ComplexWarning either: a complex array is not cast to its real part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="A contains complex"):
+            DescriptorSystem(np.eye(1), np.array([[1.0 + 2.0j]]), [[1.0]], [[1.0]])
+    with pytest.raises(ValueError, match="B contains complex"):
+        DescriptorSystem([[1.0]], [[1.0]], [[1j]], [[1.0]])
+
+
+def test_real_input_converts_bit_identically():
+    x = np.random.default_rng(17).standard_normal((3, 4))
+    for src in (x, x.tolist(), x.astype(np.float32), np.arange(12).reshape(3, 4), 2.5):
+        m = as_matrix(src, "X")
+        assert m.dtype == np.float64 and m.flags.c_contiguous
+        assert np.array_equal(m, np.array(src, dtype=np.float64, ndmin=2))
 
 
 def test_construction_rejects_singular_pencil():
@@ -490,20 +515,6 @@ def test_solve_factors_no_full_size_pencil_after_construction(monkeypatch):
     solve_apinf(s)
     assert sizes.count(s.n) == 0
     assert sizes  # the approximant's public construction still runs its QZ
-
-
-def bumped_descriptor_system(seed, n=12, n_unstable=6):
-    """Seeded system with complex pairs (2x2 bumps) on both sides of the axis
-    and an index-2 nilpotent block, mixed by random orthogonal factors."""
-    rng = np.random.default_rng(seed)
-    s = random_unstable_system(n, n_unstable, seed=rng, m=2, p=2)
-    e0 = scipy.linalg.block_diag(np.eye(n), [[0.0, 1.0], [0.0, 0.0]])
-    a0 = scipy.linalg.block_diag(s.a, np.eye(2))
-    b0 = np.vstack([s.b, rng.standard_normal((2, 2))])
-    c0 = np.hstack([s.c, rng.standard_normal((2, 2))])
-    u, _ = np.linalg.qr(rng.standard_normal((n + 2, n + 2)))
-    v, _ = np.linalg.qr(rng.standard_normal((n + 2, n + 2)))
-    return DescriptorSystem(u @ e0 @ v, u @ a0 @ v, u @ b0, c0 @ v)
 
 
 def test_error_norms_factor_nothing_after_solve(monkeypatch):
