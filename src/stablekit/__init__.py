@@ -13,7 +13,6 @@ from .approximation import (
     GammaSystem,
     RegularityVerdict,
     construct_gamma_system,
-    glover_oracle,
     reduce_singular_svd,
     solve_ap2,
     solve_apinf,
@@ -25,13 +24,10 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     GammaTooSmall,
-    LeastSquaresInconsistent,
     NegativeSpectrum,
     NoUniqueSolution,
     NonFiniteSample,
     NonzeroFeedthrough,
-    NotMinimal,
-    NotStandardForm,
     ParseError,
     SingularPencil,
     SingularTransform,
@@ -40,11 +36,9 @@ from .errors import (
     StructureViolation,
 )
 from .gramians import (
-    BalancedRealization,
     FrequencyGrid,
     GramianPair,
     HankelData,
-    balanced_realization,
     gramians,
     h2_norm_antistable,
     hankel_sigma_max,
@@ -53,15 +47,10 @@ from .gramians import (
     rl2_norm,
 )
 from .kernels import (
-    EigenvalueSelector,
     OrderedQz,
     SvdResult,
-    all_finite,
-    antistable_finite,
     pencil_eigendata,
-    qz_ordered,
     solve_generalized_sylvester,
-    stable_or_infinite,
     svd,
 )
 from .synth import random_antistable_system, random_orthogonal, random_unstable_system

@@ -20,9 +20,6 @@ part S_plus and an antistable part S_minus. Then:
   carries a removable non-dynamic part that one orthogonal transformation,
   taken from the SVD of A_gamma, eliminates, reducing the order below n
   while preserving optimality.
-
-A classical balanced-coordinates construction (``glover_oracle``) is kept as
-an independent cross-check of the balance-free route.
 """
 
 from __future__ import annotations
@@ -32,17 +29,14 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     GammaTooSmall,
-    LeastSquaresInconsistent,
     SpectrumViolation,
     StructureViolation,
 )
 from .gramians import (
     GramianPair,
-    balanced_realization,
     gramians,
     h2_norm_antistable,
     hankel_sigma_max,
@@ -66,7 +60,6 @@ __all__ = [
     "solve_ap2",
     "construct_gamma_system",
     "reduce_singular_svd",
-    "glover_oracle",
     "solve_apinf",
 ]
 
@@ -267,64 +260,6 @@ def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> Descriptor
     return DescriptorSystem(
         et[:rank, :rank], at[:rank, :rank], bt[:rank, :], ct[:, :rank], gs.source.d
     )
-
-
-# ---------------------------------------------------------------------------
-# Balanced-coordinates oracle
-
-
-def glover_oracle(s: DescriptorSystem, tol: float | None = None) -> DescriptorSystem:
-    """Classical balanced-coordinates optimal approximant (cross-check).
-
-    Balances the antistable system, splits off the sigma_1 group (size r),
-    solves C2^T U = -B2 in the minimum-norm least-squares sense, and forms
-    the order n - r stable system
-
-        Gamma = S1 S2 - h^2 I,
-        A~ = Gamma^{-1} (h^2 A11^T + S2 A11 S1 + h C1^T U B1^T),
-        B~ = Gamma^{-1} (S2 B1 - h C1^T U),
-        C~ = C1 S1 - h U B1^T,         D~ = D + h U,
-
-    whose distance to the input is exactly h = sigma_1.
-    """
-    tol = default_tol(tol)
-    bal = balanced_realization(s, tol)
-    n = s.n
-    r = bal.r
-    nb = n - r
-    a_b = np.asarray(bal.system.a)
-    b_b = np.asarray(bal.system.b)
-    c_b = np.asarray(bal.system.c)
-    a11 = a_b[:nb, :nb]
-    b1 = b_b[:nb, :]
-    b2 = b_b[nb:, :]
-    c1 = c_b[:, :nb]
-    c2 = c_b[:, nb:]
-    h = bal.h
-
-    gram_gap = fro(b2 @ b2.T - c2.T @ c2)
-    gram_scale = max(1.0, fro(b2) ** 2, fro(c2) ** 2)
-    if gram_gap > 1e-8 * gram_scale:
-        raise LeastSquaresInconsistent(
-            f"balanced sigma_1 blocks violate B2 B2^T = C2^T C2 by {gram_gap:.3e}"
-        )
-    u_m, *_ = np.linalg.lstsq(c2.T, -b2, rcond=None)
-    resid = fro(c2.T @ u_m + b2)
-    if resid > tol * max(1.0, fro(b2)):
-        raise LeastSquaresInconsistent(
-            f"C2^T U = -B2 is inconsistent (residual {resid:.3e}); "
-            "the balanced form is unreliable"
-        )
-    d_t = s.d + h * u_m
-    if nb == 0:
-        return empty_system(s.m, s.p, d_t)
-    s1 = bal.sigma_c
-    s2 = bal.sigma_o
-    gamma_m = s1 @ s2 - h**2 * np.eye(nb)
-    a_t = scipy.linalg.solve(gamma_m, h**2 * a11.T + s2 @ a11 @ s1 + h * c1.T @ u_m @ b1.T)
-    b_t = scipy.linalg.solve(gamma_m, s2 @ b1 - h * c1.T @ u_m)
-    c_t = c1 @ s1 - h * u_m @ b1.T
-    return DescriptorSystem(np.eye(nb), a_t, b_t, c_t, d_t)
 
 
 # ---------------------------------------------------------------------------

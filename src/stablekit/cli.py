@@ -201,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_approx.add_argument("--tol", type=float, default=None)
     p_approx.add_argument("-o", "--output", required=True, help="output DSYS file")
-    p_approx.set_defaults(func=cmd_approx)
 
     p_gen = sub.add_parser("generate", help="write a random unstable model")
     p_gen.add_argument("-n", "--order", type=int, required=True)
@@ -209,14 +208,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--descriptor", action="store_true")
     p_gen.add_argument("-o", "--output", required=True)
-    p_gen.set_defaults(func=cmd_generate)
 
     p_verify = sub.add_parser("verify", help="recompute error norms")
     p_verify.add_argument("original")
     p_verify.add_argument("approximant")
     p_verify.add_argument("--norm", choices=("h2", "hinf"), required=True)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_freq = sub.add_parser("freqresp", help="sample the frequency response")
     p_freq.add_argument("input")
@@ -227,14 +224,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_freq.add_argument("--tol", type=float, default=None)
     p_freq.add_argument("-o", "--output", required=True)
-    p_freq.set_defaults(func=cmd_freqresp)
     return parser
 
 
+# Built once: a parser is a web of reference cycles, so one per call would
+# leave garbage that only the cycle collector frees, at times that depend on
+# everything the process allocated before. ``main`` looks its command up by
+# name at each call, so a rebound ``cmd_*`` function is the one that runs.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    command = {
+        "approx": cmd_approx,
+        "generate": cmd_generate,
+        "verify": cmd_verify,
+        "freqresp": cmd_freqresp,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except AxisEigenvalue as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

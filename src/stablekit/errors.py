@@ -19,11 +19,8 @@ __all__ = [
     "NegativeSpectrum",
     "NonzeroFeedthrough",
     "NonFiniteSample",
-    "NotMinimal",
-    "LeastSquaresInconsistent",
     "GammaTooSmall",
     "StructureViolation",
-    "NotStandardForm",
     "ParseError",
 ]
 
@@ -92,15 +89,6 @@ class NonFiniteSample(StablekitError):
     """A frequency-response sample is non-finite (near-axis pole)."""
 
 
-class NotMinimal(StablekitError):
-    """A Gramian (or Gramian cross-factor) is numerically singular."""
-
-
-class LeastSquaresInconsistent(StablekitError):
-    """An exactly-solvable least-squares system has a large residual,
-    signalling a bad balanced form."""
-
-
 class GammaTooSmall(StablekitError):
     """Requested gamma lies below the largest Hankel singular value."""
 
@@ -108,10 +96,6 @@ class GammaTooSmall(StablekitError):
 class StructureViolation(StablekitError):
     """Blocks guaranteed to vanish structurally are not numerically zero,
     signalling a misestimated sigma_1 or rank."""
-
-
-class NotStandardForm(StablekitError):
-    """The operation requires E = I but the system is a proper descriptor."""
 
 
 class ParseError(StablekitError):

@@ -1,4 +1,4 @@
-"""Generalized Gramians, Hankel data, norm evaluation, and balancing.
+"""Generalized Gramians, Hankel data, and norm evaluation.
 
 The Gramians of an antistable descriptor system solve
 
@@ -9,7 +9,8 @@ form each system stores, so no factorization runs here. The largest Hankel
 singular value is sigma_1 = sqrt(max eig(Xc E^T Xo E)), a realization
 invariant. Norms: the L2 norm of a strictly proper antistable transfer is
 sqrt(trace(C (-Xc) C^T)); the L-infinity norm is evaluated by adaptive
-sampling of the frequency response.
+sampling of the frequency response of the finite parts, with the polynomial
+parts compared coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from .errors import (
     NegativeSpectrum,
     NonFiniteSample,
     NonzeroFeedthrough,
-    NotMinimal,
-    NotStandardForm,
     SpectrumViolation,
 )
 from .systems import (
     DescriptorSystem,
     StabilityClass,
+    _block_split,
+    _diagonal_block,
     _mirror,
     additive_decompose,
     empty_system,
@@ -39,20 +40,18 @@ from .systems import (
     pencil_spectrum,
     transfer_polynomial_part,
 )
-from .util import _is_standard, default_tol, fro
+from .util import default_tol, fro
 
 __all__ = [
     "GramianPair",
     "HankelData",
     "FrequencyGrid",
-    "BalancedRealization",
     "gramians",
     "hankel_sigma_max",
     "h2_norm_antistable",
     "linf_error",
     "linf_of",
     "rl2_norm",
-    "balanced_realization",
 ]
 
 
@@ -255,14 +254,13 @@ def _pole_scale(*systems: DescriptorSystem, tol: float | None = None) -> float:
     return rho
 
 
-def _difference_at_infinity(
-    s1: DescriptorSystem, s2: DescriptorSystem, tol: float
-) -> float:
-    """Spectral norm of G1 - G2 at infinity; inf when the difference is unbounded."""
-    c1 = transfer_polynomial_part(s1, tol)
-    c2 = transfer_polynomial_part(s2, tol)
+def _difference_at_infinity(c1: np.ndarray, c2: np.ndarray, tol: float) -> float:
+    """Spectral norm of G1 - G2 at infinity; inf when the difference is unbounded.
+
+    ``c1``/``c2`` are the ``transfer_polynomial_part`` coefficients of G1, G2.
+    """
     length = max(c1.shape[0], c2.shape[0])
-    p, m = s1.p, s1.m
+    p, m = c1.shape[1:]
     pad1 = np.zeros((length, p, m))
     pad2 = np.zeros((length, p, m))
     pad1[: c1.shape[0]] = c1
@@ -275,6 +273,21 @@ def _difference_at_infinity(
     if p == 0 or m == 0:
         return 0.0
     return float(np.linalg.norm(diff[0], 2))
+
+
+def _finite_part(s: DescriptorSystem, t0: np.ndarray, tol: float) -> DescriptorSystem:
+    """The finite-spectrum part of G plus its constant coefficient ``t0``.
+
+    G minus this system is the polynomial s T_1 + s^2 T_2 + ... of its
+    infinite part. It is the leading diagonal block of the split that puts
+    the finite eigenvalues first, so no factorization runs; a system without
+    infinite eigenvalues is its own finite part.
+    """
+    if not pencil_spectrum(s, tol).has_infinite:
+        return s
+    oq, p_mat, q_mat = _block_split(s, lambda lam, infinite: ~infinite, tol)
+    k = oq.split
+    return _diagonal_block(oq, 0, k, (p_mat @ s.b)[:k], (s.c @ q_mat)[:, :k], t0)
 
 
 def linf_error(
@@ -294,8 +307,10 @@ def linf_error(
     refinement around the top three local maxima (ties broken toward lower
     omega) until the bracket is below ``reltol`` relative to its location.
     The reported maximum also covers the difference at omega = infinity,
-    which is infinite when G1 - G2 is improper. Raises NonFiniteSample if
-    any sample at finite omega is not finite.
+    which is infinite when G1 - G2 is improper. A system with infinite
+    eigenvalues is sampled through ``_finite_part``, so polynomial parts
+    that cancel in G1 - G2 are never subtracted in floating point. Raises
+    NonFiniteSample if any sample at finite omega is not finite.
     """
     tol = default_tol(tol)
     if s1.m != s2.m or s1.p != s2.p:
@@ -304,7 +319,11 @@ def linf_error(
             f"({s1.m},{s1.p}) and ({s2.m},{s2.p})"
         )
     scale = _pole_scale(s1, s2, tol=tol)
-    value_at_inf = _difference_at_infinity(s1, s2, tol)
+    c1 = transfer_polynomial_part(s1, tol)
+    c2 = transfer_polynomial_part(s2, tol)
+    value_at_inf = _difference_at_infinity(c1, c2, tol)
+    f1 = _finite_part(s1, c1[0], tol)
+    f2 = _finite_part(s2, c2[0], tol)
     wmin = float(wmin) if wmin is not None else 1e-6 * scale
     wmax = float(wmax) if wmax is not None else 1e6 * scale
     if not (0.0 < wmin < wmax):
@@ -313,7 +332,7 @@ def linf_error(
 
     def batch(ws: np.ndarray) -> np.ndarray:
         try:
-            diff = frequency_response(s1, ws) - frequency_response(s2, ws)
+            diff = frequency_response(f1, ws) - frequency_response(f2, ws)
         except AtPole as exc:
             raise NonFiniteSample(str(exc)) from exc
         vals = _spectral_norms(diff)
@@ -389,82 +408,3 @@ def linf_of(
 ) -> FrequencyGrid:
     """Sampled L-infinity norm of a single transfer function: the error to G = 0."""
     return linf_error(s, empty_system(s.m, s.p), wmin, wmax, n0, reltol, tol)
-
-
-# ---------------------------------------------------------------------------
-# Balanced realization (square-root method, antistable sign convention)
-
-
-@dataclass(frozen=True)
-class BalancedRealization:
-    """Balanced antistable standard system with the sigma_1 group trailing.
-
-    Gramians of ``system`` equal -diag(sigmas) with ``sigmas`` holding the
-    smaller Hankel singular values first (descending) and the sigma_1 group
-    (size ``r``, value ``h``) last. ``sigma_c``/``sigma_o`` are the leading
-    (n-r) x (n-r) Gramian blocks (negative diagonal). ``t``/``t_inv`` map
-    the original coordinates: A_bal = t_inv A t.
-    """
-
-    system: DescriptorSystem
-    sigma_c: np.ndarray
-    sigma_o: np.ndarray
-    r: int
-    h: float
-    t: np.ndarray
-    t_inv: np.ndarray
-
-
-def balanced_realization(
-    s: DescriptorSystem, tol: float | None = None
-) -> BalancedRealization:
-    """Square-root balancing of a minimal antistable standard system."""
-    tol = default_tol(tol)
-    n = s.n
-    if not _is_standard(s.e, tol):
-        raise NotStandardForm("balancing requires E = I")
-    rep = pencil_spectrum(s, tol)
-    if rep.stability_class is not StabilityClass.ANTISTABLE:
-        raise SpectrumViolation(
-            f"balancing requires an antistable system, got {rep.stability_class.value}"
-        )
-    gr = gramians(s, tol)
-
-    def factor(gram: np.ndarray, which: str) -> np.ndarray:
-        w, v = np.linalg.eigh(0.5 * (-(gram) + -(gram).T))
-        if w.size == 0:
-            return np.zeros((0, 0))
-        if w.min() <= tol * max(w.max(initial=0.0), 0.0) or w.max(initial=0.0) <= 0.0:
-            raise NotMinimal(f"{which} Gramian is numerically singular")
-        return v * np.sqrt(w)
-
-    up = factor(gr.xc, "controllability")
-    lo = factor(gr.xo, "observability")
-    w_svd, sig, vt = np.linalg.svd(lo.T @ up)
-    if sig.size == 0 or sig[-1] <= tol * sig[0]:
-        raise NotMinimal("Gramian cross factor is numerically rank-deficient")
-    sig_isqrt = 1.0 / np.sqrt(sig)
-    t = up @ vt.T * sig_isqrt
-    t_inv = (w_svd * sig_isqrt).T @ lo.T
-
-    h = float(sig[0])
-    r = int(np.count_nonzero(np.abs(sig - h) <= _MULTIPLICITY_RTOL * h))
-    order = np.concatenate([np.arange(r, n), np.arange(0, r)])
-    t = t[:, order]
-    t_inv = t_inv[order, :]
-    sig = sig[order]
-
-    a_b = t_inv @ s.a @ t
-    b_b = t_inv @ s.b
-    c_b = s.c @ t
-    system = DescriptorSystem(np.eye(n), a_b, b_b, c_b, s.d)
-    lead = -np.diag(sig[: n - r])
-    return BalancedRealization(
-        system=system,
-        sigma_c=lead,
-        sigma_o=lead.copy(),
-        r=r,
-        h=h,
-        t=t,
-        t_inv=t_inv,
-    )

@@ -1,10 +1,12 @@
 """Dense real matrix factorizations and the coupled Sylvester solver.
 
-This module wraps the LAPACK-backed factorizations (generalized Schur form,
-its ``tgsen`` reordering, and SVD) behind the contracts the rest of the
-package relies on, and solves the coupled generalized Sylvester equation
-that block-diagonalizes a triangularized pencil. The Gramians' Lyapunov
-equations are solved in ``gramians``, on the Schur form a system stores.
+This module wraps the LAPACK-backed factorizations (generalized Schur form
+and SVD) behind the contracts the rest of the package relies on, and solves
+the coupled generalized Sylvester equation that block-diagonalizes a
+triangularized pencil. Which diagonal pairs of a Schur form are infinite,
+stable or antistable is decided in ``systems``, which also reorders a
+system's stored form; the Gramians' Lyapunov equations are solved in
+``gramians``, on that stored form.
 
 All operations are pure functions over immutable inputs.
 """
@@ -12,7 +14,6 @@ All operations are pure functions over immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -26,52 +27,12 @@ from .errors import (
 from .util import EPS, as_matrix, default_tol, fro, require_square
 
 __all__ = [
-    "EigenvalueSelector",
-    "stable_or_infinite",
-    "antistable_finite",
-    "all_finite",
     "OrderedQz",
     "SvdResult",
     "pencil_eigendata",
-    "qz_ordered",
     "solve_generalized_sylvester",
     "svd",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Eigenvalue-region selectors
-
-
-@dataclass(frozen=True)
-class EigenvalueSelector:
-    """Region predicate used to order a QZ decomposition.
-
-    ``finite`` receives a complex array of finite generalized eigenvalues and
-    returns a boolean array; ``include_infinite`` decides whether infinite
-    eigenvalues belong to the selected (leading) set.
-    """
-
-    finite: Callable[[np.ndarray], np.ndarray]
-    include_infinite: bool = False
-
-
-def stable_or_infinite() -> EigenvalueSelector:
-    """Select the closed left half-plane complement's complement: Re < 0 or infinity.
-
-    This is the region a stable descriptor spectrum must occupy.
-    """
-    return EigenvalueSelector(lambda lam: lam.real < 0.0, include_infinite=True)
-
-
-def antistable_finite() -> EigenvalueSelector:
-    """Select finite eigenvalues with Re > 0 (the antistable region)."""
-    return EigenvalueSelector(lambda lam: lam.real > 0.0, include_infinite=False)
-
-
-def all_finite() -> EigenvalueSelector:
-    """Select every finite eigenvalue, leaving infinity trailing."""
-    return EigenvalueSelector(lambda lam: np.ones(lam.shape, dtype=bool), include_infinite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +120,8 @@ def pencil_eigendata(e, a) -> OrderedQz:
     data of its diagonal. Eigenvalues are alpha/beta; beta below
     ``infinite_eigenvalue_threshold`` marks an infinite eigenvalue. Raises
     SingularPencil when the pencil has no well-defined spectrum.
-    ``qz_ordered`` and the block splits of ``systems`` reorder this form
-    instead of factoring (E, A) again.
+    The block splits of ``systems`` reorder this form instead of factoring
+    (E, A) again.
     """
     e = as_matrix(e, "E")
     a = as_matrix(a, "A")
@@ -183,63 +144,6 @@ def pencil_eigendata(e, a) -> OrderedQz:
     return OrderedQz(u=q.T, v=z, et=et, at=at, split=0, alpha=alpha, beta=beta)
 
 
-def _reorder(form: OrderedQz, e, a, selector: EigenvalueSelector, tol: float) -> OrderedQz:
-    """Reorder a generalized Schur form of (E, A) so the selected eigenvalues lead.
-
-    LAPACK ``tgsen`` (ijob = 0; Kagstrom & Poromaa, Numer. Algorithms 12,
-    1996) swaps the diagonal blocks of ``form`` and updates U and V, so no
-    QZ runs. E and A give the infinite-eigenvalue and regularity thresholds.
-    Raises ConvergenceFailure when a swap is too ill-conditioned to keep the
-    form.
-    """
-    n = form.et.shape[0]
-    if n == 0:
-        return form
-    inf_thresh = infinite_eigenvalue_threshold(e, a, tol)
-
-    def picked(alpha, beta):
-        infinite = np.abs(beta) <= inf_thresh
-        lam = np.zeros(alpha.shape, dtype=complex)
-        finite = ~infinite
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lam[finite] = alpha[finite] / beta[finite]
-        # A singular pencil can surface NaNs here; route them anywhere, the
-        # regularity check below rejects the decomposition before use.
-        lam[~np.isfinite(lam)] = 0.0
-        out = np.asarray(selector.finite(lam), dtype=bool)
-        out[infinite] = selector.include_infinite
-        return out
-
-    at, et, alphar, alphai, beta, q, z, *_, info = scipy.linalg.lapack.dtgsen(
-        picked(form.alpha, form.beta), form.at, form.et, form.u.T, form.v,
-        ijob=0, wantq=1, wantz=1, lwork=4 * n + 16, liwork=1,
-    )
-    if info != 0:
-        raise ConvergenceFailure(
-            f"reordering the generalized Schur form failed (tgsen info {info}); "
-            "swapping its eigenvalues is too ill-conditioned"
-        )
-    alpha = alphar + alphai * 1j
-    _regularity_check(alpha, beta, e, a)
-    split = int(np.count_nonzero(picked(alpha, beta)))
-    return OrderedQz(u=q.T, v=z, et=et, at=at, split=split, alpha=alpha, beta=beta)
-
-
-def qz_ordered(e, a, selector: EigenvalueSelector, tol: float | None = None) -> OrderedQz:
-    """Ordered QZ decomposition of the pencil (E, A).
-
-    Computes orthogonal U, V with U E V = Et, U A V = At quasi-upper
-    triangular, reordered so the leading ``split`` x ``split`` block carries
-    exactly the eigenvalues picked by ``selector`` (infinite eigenvalues
-    according to its flag) and the trailing block the complement. It is the
-    QZ of ``pencil_eigendata`` followed by the ``tgsen`` reorder that the
-    block splits of ``systems`` apply to a system's stored form.
-    """
-    tol = default_tol(tol)
-    form = pencil_eigendata(e, a)
-    return _reorder(form, as_matrix(e, "E"), as_matrix(a, "A"), selector, tol)
-
-
 # ---------------------------------------------------------------------------
 # Coupled Sylvester equation
 
@@ -249,8 +153,8 @@ def _schur_form(a: np.ndarray, e: np.ndarray):
 
     A pencil already in that form (A zero below its first subdiagonal with no
     two adjacent nonzero subdiagonal entries, E upper triangular), such as a
-    diagonal block of ``qz_ordered``, is returned as is with identity factors,
-    so no pencil is factored twice.
+    diagonal block of a reordered Schur form, is returned as is with identity
+    factors, so no pencil is factored twice.
     """
     i = np.arange(a.shape[0])
     sub = a.diagonal(-1) != 0.0
@@ -271,7 +175,7 @@ def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None
     The pencils (E1, A1) and (E3, A3) must be regular with disjoint spectra;
     otherwise NoUniqueSolution is raised. Each pencil is brought to real
     generalized Schur form by QZ unless it already is (the diagonal blocks of
-    ``qz_ordered`` are), and the reduced equation is solved by LAPACK
+    a reordered Schur form are), and the reduced equation is solved by LAPACK
     ``tgsyl`` (Kagstrom & Poromaa, ACM TOMS 1996). After the reductions the
     solve costs O(kl(k + l)) time and O(kl) memory.
     """

@@ -3,6 +3,13 @@
 A descriptor system is the quintuple (E, A, B, C, D) with transfer function
 G(s) = C (sE - A)^{-1} B + D. E may be singular as long as the pencil
 (E, A) is regular; n = 0 is allowed and realizes the constant transfer D.
+
+Every system keeps the generalized Schur form of (E, A) from its
+construction. Whether a diagonal pair of that form is infinite, and if
+finite where its eigenvalue lies, is decided in one place, ``_classify``:
+the spectrum report reads the stored diagonal through it, and the
+Weierstrass split and the additive decomposition reorder the stored form
+by a mask computed from it.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import scipy.linalg
 from .errors import (
     AtPole,
     AxisEigenvalue,
+    ConvergenceFailure,
     DimensionMismatch,
     SingularTransform,
     SpectrumViolation,
@@ -23,13 +31,9 @@ from .errors import (
 from .kernels import (
     OrderedQz,
     _regularity_check,
-    _reorder,
-    all_finite,
     infinite_eigenvalue_threshold,
     pencil_eigendata,
     solve_generalized_sylvester,
-    svd,
-    stable_or_infinite,
 )
 from .util import as_matrix, default_tol, fro, require_square
 
@@ -175,6 +179,20 @@ def negate_output(s: DescriptorSystem) -> DescriptorSystem:
 # Spectrum
 
 
+def _classify(alpha: np.ndarray, beta: np.ndarray, e, a, tol: float):
+    """Eigenvalues of a Schur diagonal and which of them are infinite.
+
+    Returns ``(lam, infinite)`` in diagonal order: ``infinite`` marks the
+    pairs with |beta| at or below ``infinite_eigenvalue_threshold`` of the
+    pencil (E, A), and ``lam`` holds alpha/beta for the others (inf for
+    infinite pairs). Every spectral decision of this module reads it.
+    """
+    infinite = np.abs(beta) <= infinite_eigenvalue_threshold(e, a, tol)
+    lam = np.full(alpha.shape, np.inf, dtype=complex)
+    lam[~infinite] = alpha[~infinite] / beta[~infinite]
+    return lam, infinite
+
+
 class StabilityClass(enum.Enum):
     STABLE = "stable"
     ANTISTABLE = "antistable"
@@ -209,10 +227,9 @@ def pencil_spectrum(s: DescriptorSystem, tol: float | None = None) -> SpectrumRe
     and A.
     """
     tol = default_tol(tol)
-    alpha, beta = s._schur.alpha, s._schur.beta
-    inf_mask = np.abs(beta) <= infinite_eigenvalue_threshold(s.e, s.a, tol)
-    n_inf = int(np.count_nonzero(inf_mask))
-    finite = alpha[~inf_mask] / beta[~inf_mask]
+    lam, infinite = _classify(s._schur.alpha, s._schur.beta, s.e, s.a, tol)
+    n_inf = int(np.count_nonzero(infinite))
+    finite = lam[~infinite]
     order = np.lexsort((finite.imag, finite.real))
     finite = finite[order]
 
@@ -390,18 +407,38 @@ def rse_transform(p, s: DescriptorSystem, q) -> DescriptorSystem:
 # Block split shared by the Weierstrass split and the additive decomposition
 
 
-def _block_split(s: DescriptorSystem, selector, tol: float):
+def _block_split(s: DescriptorSystem, lead, tol: float):
     """Reordered Schur form of (E, A) plus Sylvester decoupling of its two blocks.
 
-    The system's stored generalized Schur form is reordered by LAPACK
-    ``tgsen``; no QZ runs. Returns ``(oq, p, q)``: P (E, A) Q is block
-    diagonal with the diagonal blocks of ``oq.et``/``oq.at`` split at
-    ``oq.split``, the leading block carrying the eigenvalues the selector
-    picks.
+    ``lead(lam, infinite)`` maps the ``_classify`` output of a Schur diagonal
+    to the mask of pairs that belong to the leading block. LAPACK ``tgsen``
+    (ijob = 0; Kagstrom & Poromaa, Numer. Algorithms 12, 1996) moves the
+    pairs the mask picks on the stored diagonal to the front and updates U
+    and V, so no QZ runs; a swap too ill-conditioned to keep the form raises
+    ConvergenceFailure. A swap can carry a pair across the infinite-eigenvalue
+    threshold, so ``oq.split`` counts ``lead`` on the reordered diagonal
+    rather than on the stored one. Returns ``(oq, p, q)``:
+    P (E, A) Q is block diagonal with the diagonal blocks of
+    ``oq.et``/``oq.at`` split at ``oq.split``.
     """
-    oq = _reorder(s._schur, s.e, s.a, selector, tol)
-    k = oq.split
+    form = s._schur
     n = s.n
+    if n == 0:
+        return form, np.eye(0), np.eye(0)
+    at, et, alphar, alphai, beta, q, z, *_, info = scipy.linalg.lapack.dtgsen(
+        lead(*_classify(form.alpha, form.beta, s.e, s.a, tol)),
+        form.at, form.et, form.u.T, form.v,
+        ijob=0, wantq=1, wantz=1, lwork=4 * n + 16, liwork=1,
+    )
+    if info != 0:
+        raise ConvergenceFailure(
+            f"reordering the generalized Schur form failed (tgsen info {info}); "
+            "swapping its eigenvalues is too ill-conditioned"
+        )
+    alpha = alphar + alphai * 1j
+    _regularity_check(alpha, beta, s.e, s.a)
+    k = int(np.count_nonzero(lead(*_classify(alpha, beta, s.e, s.a, tol))))
+    oq = OrderedQz(u=q.T, v=z, et=et, at=at, split=k, alpha=alpha, beta=beta)
     e1, e2, e3 = oq.et[:k, :k], oq.et[:k, k:], oq.et[k:, k:]
     a1, a2, a3 = oq.at[:k, :k], oq.at[:k, k:], oq.at[k:, k:]
     if k == 0 or k == n:
@@ -444,7 +481,7 @@ class WeierstrassSplit:
 def weierstrass_split(s: DescriptorSystem, tol: float | None = None) -> WeierstrassSplit:
     """Split a system into its finite (standard) and infinite (nilpotent) parts."""
     tol = default_tol(tol)
-    oq, p_mat, q_mat = _block_split(s, all_finite(), tol)
+    oq, p_mat, q_mat = _block_split(s, lambda lam, infinite: ~infinite, tol)
     k = oq.split
     n = s.n
     e1, e3 = oq.et[:k, :k], oq.et[k:, k:]
@@ -528,13 +565,15 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
             s_plus=empty_system(s.m, s.p, s.d), s_minus=s_minus, p=eye, q=eye.copy()
         )
 
-    oq, p_mat, q_mat = _block_split(s, stable_or_infinite(), tol)
+    oq, p_mat, q_mat = _block_split(
+        s, lambda lam, infinite: infinite | (lam.real < 0.0), tol
+    )
     k = oq.split
     b_t = p_mat @ s.b
     c_t = s.c @ q_mat
     s_plus = _diagonal_block(oq, 0, k, b_t[:k, :], c_t[:, :k], s.d)
     s_minus = _diagonal_block(oq, k, s.n, b_t[k:, :], c_t[:, k:], np.zeros((s.p, s.m)))
-    # The selector routed eigenvalues; reclassify to catch borderline drift.
+    # The split routed eigenvalues; reclassify to catch borderline drift.
     if pencil_spectrum(s_plus, tol).stability_class is not StabilityClass.STABLE:
         raise SpectrumViolation("separated slow part failed the stability check")
     if pencil_spectrum(s_minus, tol).stability_class is not StabilityClass.ANTISTABLE:

@@ -55,8 +55,3 @@ def fro(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, "fro"))
-
-
-def _is_standard(e: np.ndarray, tol: float) -> bool:
-    """Whether E is the identity to within ``tol * max(1, ||E||_F)``."""
-    return fro(e - np.eye(e.shape[0])) <= tol * max(1.0, fro(e))

@@ -4,18 +4,33 @@ Everything here is deliberately written against plain numpy primitives
 (``solve``, ``qr``, dense arithmetic) so that agreement between the library
 and these helpers carries evidential weight: transfer values come from raw
 linear solves, L2 norms from adaptive Simpson quadrature, Gramians from
-dense Kronecker solves. The random fixtures at the end build their systems
-through the public constructor.
+dense Kronecker solves. The random fixtures build their systems through the
+public constructor.
+
+The balanced-coordinates construction (``glover_oracle``, on top of
+``balanced_realization``) is the classical route to the optimal L-infinity
+approximant. It shares only the Gramians with the library's balance-free
+route, so the two agreeing checks the gamma-system assembly and its
+singular reduction.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from stablekit import DescriptorSystem
+from stablekit import (
+    DescriptorSystem,
+    SpectrumViolation,
+    StabilityClass,
+    empty_system,
+    gramians,
+    pencil_spectrum,
+)
+from stablekit.gramians import _MULTIPLICITY_RTOL as MULTIPLICITY_RTOL
 from stablekit.synth import random_unstable_system
 
 # ---------------------------------------------------------------------------
@@ -183,3 +198,142 @@ def random_antistable_tri(rng, n, lo=0.2, hi=3.0):
     a = np.triu(rng.standard_normal((n, n)), 1)
     a[np.diag_indices(n)] = rng.uniform(lo, hi, size=n)
     return a
+
+
+# ---------------------------------------------------------------------------
+# Balanced coordinates and the classical optimal approximant
+
+
+class NotMinimal(Exception):
+    """A Gramian (or the Gramian cross factor) is numerically singular."""
+
+
+class NotStandardForm(Exception):
+    """Balancing needs E = I."""
+
+
+@dataclass(frozen=True)
+class BalancedRealization:
+    """Balanced antistable standard system with the sigma_1 group trailing.
+
+    Gramians of ``system`` equal -diag(sigmas) with ``sigmas`` holding the
+    smaller Hankel singular values first (descending) and the sigma_1 group
+    (size ``r``, value ``h``) last. ``sigma_c``/``sigma_o`` are the leading
+    (n-r) x (n-r) Gramian blocks (negative diagonal). ``t``/``t_inv`` map
+    the original coordinates: A_bal = t_inv A t.
+    """
+
+    system: DescriptorSystem
+    sigma_c: np.ndarray
+    sigma_o: np.ndarray
+    r: int
+    h: float
+    t: np.ndarray
+    t_inv: np.ndarray
+
+
+def balanced_realization(
+    s: DescriptorSystem, tol: float = 1e-10
+) -> BalancedRealization:
+    """Square-root balancing of a minimal antistable standard system."""
+    n = s.n
+    if np.linalg.norm(s.e - np.eye(n)) > tol * max(1.0, np.linalg.norm(s.e)):
+        raise NotStandardForm("balancing requires E = I")
+    rep = pencil_spectrum(s, tol)
+    if rep.stability_class is not StabilityClass.ANTISTABLE:
+        raise SpectrumViolation(
+            f"balancing requires an antistable system, got {rep.stability_class.value}"
+        )
+    gr = gramians(s, tol)
+
+    def factor(gram: np.ndarray, which: str) -> np.ndarray:
+        w, v = np.linalg.eigh(0.5 * (-(gram) + -(gram).T))
+        if w.size == 0:
+            return np.zeros((0, 0))
+        if w.min() <= tol * max(w.max(initial=0.0), 0.0) or w.max(initial=0.0) <= 0.0:
+            raise NotMinimal(f"{which} Gramian is numerically singular")
+        return v * np.sqrt(w)
+
+    up = factor(gr.xc, "controllability")
+    lo = factor(gr.xo, "observability")
+    w_svd, sig, vt = np.linalg.svd(lo.T @ up)
+    if sig.size == 0 or sig[-1] <= tol * sig[0]:
+        raise NotMinimal("Gramian cross factor is numerically rank-deficient")
+    sig_isqrt = 1.0 / np.sqrt(sig)
+    t = up @ vt.T * sig_isqrt
+    t_inv = (w_svd * sig_isqrt).T @ lo.T
+
+    h = float(sig[0])
+    r = int(np.count_nonzero(np.abs(sig - h) <= MULTIPLICITY_RTOL * h))
+    order = np.concatenate([np.arange(r, n), np.arange(0, r)])
+    t = t[:, order]
+    t_inv = t_inv[order, :]
+    sig = sig[order]
+
+    a_b = t_inv @ s.a @ t
+    b_b = t_inv @ s.b
+    c_b = s.c @ t
+    system = DescriptorSystem(np.eye(n), a_b, b_b, c_b, s.d)
+    lead = -np.diag(sig[: n - r])
+    return BalancedRealization(
+        system=system,
+        sigma_c=lead,
+        sigma_o=lead.copy(),
+        r=r,
+        h=h,
+        t=t,
+        t_inv=t_inv,
+    )
+
+
+def glover_oracle(s: DescriptorSystem, tol: float = 1e-10) -> DescriptorSystem:
+    """Classical balanced-coordinates optimal approximant (cross-check).
+
+    Balances the antistable system, splits off the sigma_1 group (size r),
+    solves C2^T U = -B2 in the minimum-norm least-squares sense, and forms
+    the order n - r stable system
+
+        Gamma = S1 S2 - h^2 I,
+        A~ = Gamma^{-1} (h^2 A11^T + S2 A11 S1 + h C1^T U B1^T),
+        B~ = Gamma^{-1} (S2 B1 - h C1^T U),
+        C~ = C1 S1 - h U B1^T,         D~ = D + h U,
+
+    whose distance to the input is exactly h = sigma_1.
+    """
+    bal = balanced_realization(s, tol)
+    n = s.n
+    r = bal.r
+    nb = n - r
+    a_b = np.asarray(bal.system.a)
+    b_b = np.asarray(bal.system.b)
+    c_b = np.asarray(bal.system.c)
+    a11 = a_b[:nb, :nb]
+    b1 = b_b[:nb, :]
+    b2 = b_b[nb:, :]
+    c1 = c_b[:, :nb]
+    c2 = c_b[:, nb:]
+    h = bal.h
+
+    gram_gap = np.linalg.norm(b2 @ b2.T - c2.T @ c2)
+    gram_scale = max(1.0, np.linalg.norm(b2) ** 2, np.linalg.norm(c2) ** 2)
+    if gram_gap > 1e-8 * gram_scale:
+        raise AssertionError(
+            f"balanced sigma_1 blocks violate B2 B2^T = C2^T C2 by {gram_gap:.3e}"
+        )
+    u_m, *_ = np.linalg.lstsq(c2.T, -b2, rcond=None)
+    resid = np.linalg.norm(c2.T @ u_m + b2)
+    if resid > tol * max(1.0, np.linalg.norm(b2)):
+        raise AssertionError(
+            f"C2^T U = -B2 is inconsistent (residual {resid:.3e}); "
+            "the balanced form is unreliable"
+        )
+    d_t = s.d + h * u_m
+    if nb == 0:
+        return empty_system(s.m, s.p, d_t)
+    s1 = bal.sigma_c
+    s2 = bal.sigma_o
+    gamma_m = s1 @ s2 - h**2 * np.eye(nb)
+    a_t = scipy.linalg.solve(gamma_m, h**2 * a11.T + s2 @ a11 @ s1 + h * c1.T @ u_m @ b1.T)
+    b_t = scipy.linalg.solve(gamma_m, s2 @ b1 - h * c1.T @ u_m)
+    c_t = c1 @ s1 - h * u_m @ b1.T
+    return DescriptorSystem(np.eye(nb), a_t, b_t, c_t, d_t)

@@ -16,7 +16,6 @@ from numpy.testing import assert_allclose
 from stablekit import (
     Branch,
     DescriptorSystem,
-    NotMinimal,
     StabilityClass,
     additive_decompose,
     construct_gamma_system,
@@ -35,7 +34,9 @@ from stablekit.kernels import solve_generalized_sylvester
 from stablekit.synth import random_antistable_system, random_unstable_system
 
 from oracles import (
+    NotMinimal,
     eval_transfer_np,
+    glover_oracle,
     quad_l2_diff,
     random_antistable_tri,
     random_regular,
@@ -118,8 +119,6 @@ def test_criterion_3_error_bracket_50_seeds():
 
 
 def test_criterion_4_oracle_equivalence_25_systems():
-    from stablekit import glover_oracle
-
     points = 1j * np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 99)])
     collected = 0
     seed = 0

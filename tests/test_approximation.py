@@ -11,11 +11,9 @@ from stablekit import (
     DescriptorSystem,
     GammaSystem,
     GammaTooSmall,
-    NotMinimal,
     StabilityClass,
     construct_gamma_system,
     direct_sum,
-    glover_oracle,
     gramians,
     hankel_sigma_max,
     linf_error,
@@ -30,7 +28,7 @@ from stablekit import (
 )
 from stablekit.synth import random_antistable_system, random_orthogonal, random_unstable_system
 
-from oracles import eval_transfer_np, quad_l2_diff, random_regular
+from oracles import NotMinimal, eval_transfer_np, glover_oracle, quad_l2_diff, random_regular
 
 
 def scalar_system(e, a, b, c, d=0.0):

@@ -1,5 +1,7 @@
 """Gramians, Hankel data, L2/L-infinity norms, and balancing."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,11 +12,8 @@ from stablekit import (
     DescriptorSystem,
     NonFiniteSample,
     NonzeroFeedthrough,
-    NotMinimal,
-    NotStandardForm,
     SpectrumViolation,
     additive_decompose,
-    balanced_realization,
     direct_sum,
     frequency_response,
     gramians,
@@ -25,10 +24,17 @@ from stablekit import (
     negate_output,
     rl2_norm,
     rse_transform,
+    save_dsys,
+    solve_apinf,
+    transfer_polynomial_part,
 )
+from stablekit.cli import main
 from stablekit.synth import random_antistable_system, random_unstable_system
 
 from oracles import (
+    NotMinimal,
+    NotStandardForm,
+    balanced_realization,
     bumped_descriptor_system,
     eval_transfer_np,
     gramians_kron,
@@ -370,6 +376,32 @@ def test_linf_matches_dense_scan_oracle():
         )
         # the refined search must beat (or equal) a blind dense scan
         assert grid.max_value >= dense - 1e-7 * (1.0 + dense)
+
+
+def test_linf_error_on_an_improper_model_is_sigma1(tmp_path, capsys):
+    # a stable block, ROTATE2 (sigma_1 = 1) and a nilpotent Jordan pair whose
+    # s-linear term makes G improper, mixed by orthogonal factors
+    rng = np.random.default_rng(5)
+    a_s = np.triu(rng.standard_normal((4, 4)), 1) - np.diag(rng.uniform(0.5, 3.0, 4))
+    e0 = scipy.linalg.block_diag(np.eye(4), ROTATE2.e, [[0.0, 1.0], [0.0, 0.0]])
+    a0 = scipy.linalg.block_diag(a_s, ROTATE2.a, np.eye(2))
+    b0 = np.vstack([rng.standard_normal((4, 1)), ROTATE2.b, rng.standard_normal((2, 1))])
+    c0 = np.hstack([rng.standard_normal((1, 4)), ROTATE2.c, rng.standard_normal((1, 2))])
+    u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    s = DescriptorSystem(u @ e0 @ v, u @ a0 @ v, u @ b0, c0 @ v)
+    assert transfer_polynomial_part(s).shape[0] == 2
+    res = solve_apinf(s)
+    assert res.sigma1 == pytest.approx(1.0, rel=1e-12)
+    bracket = (res.sigma1 * (1.0 - 1e-8), res.sigma1 * (1.0 + 1e-8))
+
+    assert bracket[0] <= linf_error(s, res.system).max_value <= bracket[1]
+    src, out = tmp_path / "s.dsys", tmp_path / "approx.dsys"
+    save_dsys(src, s)
+    save_dsys(out, res.system)
+    capsys.readouterr()
+    assert main(["verify", str(src), str(out), "--norm", "hinf"]) == 0
+    assert bracket[0] <= json.loads(capsys.readouterr().out)["error_linf"] <= bracket[1]
 
 
 # ---------------------------------------------------------------------------

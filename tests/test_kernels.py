@@ -7,24 +7,21 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import stablekit.systems as systems
 from stablekit import (
     ConvergenceFailure,
     DescriptorSystem,
     DimensionMismatch,
-    EigenvalueSelector,
     NoUniqueSolution,
     SingularPencil,
     SpectrumViolation,
     additive_decompose,
-    all_finite,
-    antistable_finite,
     gramians,
     pencil_eigendata,
-    qz_ordered,
     solve_generalized_sylvester,
     random_unstable_system,
-    stable_or_infinite,
     svd,
+    weierstrass_split,
 )
 from stablekit.util import EPS
 
@@ -46,13 +43,24 @@ def assert_orthogonal(x):
 
 
 # ---------------------------------------------------------------------------
-# qz_ordered
+# Block splits: the stored QZ form reordered by a mask of its classified diagonal
+
+STABLE_OR_INFINITE = lambda lam, infinite: infinite | (lam.real < 0.0)  # noqa: E731
+ANTISTABLE_FINITE = lambda lam, infinite: ~infinite & (lam.real > 0.0)  # noqa: E731
+FINITE = lambda lam, infinite: ~infinite  # noqa: E731
+
+
+def ordered(e, a, lead):
+    """The reordered Schur form ``_block_split`` computes for the pencil (E, A)."""
+    n = np.shape(e)[0]
+    s = DescriptorSystem(e, a, np.ones((n, 1)), np.ones((1, n)))
+    return systems._block_split(s, lead, 1e-10)[0]
 
 
 def test_qz_diagonal_already_ordered():
     e = np.eye(2)
     a = np.diag([-1.0, 2.0])
-    res = qz_ordered(e, a, stable_or_infinite())
+    res = ordered(e, a, STABLE_OR_INFINITE)
     assert res.split == 1
     # leading pair encodes eigenvalue -1, trailing encodes 2
     assert_allclose(res.at[0, 0] / res.et[0, 0], -1.0, atol=1e-12)
@@ -63,7 +71,7 @@ def test_qz_infinite_eigenvalue_selected_leading():
     # det(lambda*E - A) = -(lambda - 1): spectrum {1, infinity}
     e = np.diag([1.0, 0.0])
     a = np.eye(2)
-    res = qz_ordered(e, a, stable_or_infinite())
+    res = ordered(e, a, STABLE_OR_INFINITE)
     assert res.split == 1
     # leading diagonal of Et is (numerically) zero: the infinite eigenvalue
     assert abs(res.et[0, 0]) <= 1e-12
@@ -73,7 +81,7 @@ def test_qz_infinite_eigenvalue_selected_leading():
 def test_qz_upper_triangular_mixed():
     e = np.eye(2)
     a = np.array([[-1.0, 3.0], [0.0, 2.0]])
-    res = qz_ordered(e, a, stable_or_infinite())
+    res = ordered(e, a, STABLE_OR_INFINITE)
     assert res.split == 1
     assert_allclose(res.at[0, 0] / res.et[0, 0], -1.0, atol=1e-12)
     assert_allclose(res.at[1, 1] / res.et[1, 1], 2.0, atol=1e-12)
@@ -94,8 +102,8 @@ def test_qz_reconstruction_orthogonality_and_split_property():
             e = (u * sing) @ v
         else:
             e = np.eye(n)
-        selector = stable_or_infinite() if trial % 2 else antistable_finite()
-        res = qz_ordered(e, a, selector)
+        lead = STABLE_OR_INFINITE if trial % 2 else ANTISTABLE_FINITE
+        res = ordered(e, a, lead)
         assert_orthogonal(res.u)
         assert_orthogonal(res.v)
         assert np.linalg.norm(res.u @ e @ res.v - res.et) <= 1e-10 * (
@@ -113,36 +121,25 @@ def test_qz_reconstruction_orthogonality_and_split_property():
         fin0 = alpha0[np.abs(beta0) > thresh] / beta0[np.abs(beta0) > thresh]
         fin1 = alpha1[np.abs(beta1) > thresh] / beta1[np.abs(beta1) > thresh]
         assert_eigen_multisets_close(fin1, fin0, tol=1e-7)
-        # split: leading block spectrum inside the selected set
+
+        def picked(block):
+            q = pencil_eigendata(res.et[block, block], res.at[block, block])
+            infinite = np.abs(q.beta) <= thresh
+            lam = np.full(q.alpha.shape, np.inf, dtype=complex)
+            lam[~infinite] = q.alpha[~infinite] / q.beta[~infinite]
+            return lead(lam, infinite)
+
+        # split: the leading block carries exactly the picked eigenvalues
         k = res.split
-        if 0 < k:
-            ql = pencil_eigendata(res.et[:k, :k], res.at[:k, :k])
-            al, bl = ql.alpha, ql.beta
-            inf_l = np.abs(bl) <= thresh
-            lead = al[~inf_l] / bl[~inf_l]
-            assert np.all(selector.finite(lead))
-            if np.any(inf_l):
-                assert selector.include_infinite
-        if k < n:
-            qt = pencil_eigendata(res.et[k:, k:], res.at[k:, k:])
-            at, bt = qt.alpha, qt.beta
-            inf_t = np.abs(bt) <= thresh
-            trail = at[~inf_t] / bt[~inf_t]
-            assert not np.any(selector.finite(trail))
-            if np.any(inf_t):
-                assert not selector.include_infinite
+        assert picked(slice(0, k)).all()
+        assert not picked(slice(k, n)).any()
 
 
 def test_qz_rejects_singular_pencil():
     e = np.diag([1.0, 0.0])
     a = np.diag([1.0, 0.0])  # det(sE - A) == 0 identically
     with pytest.raises(SingularPencil):
-        qz_ordered(e, a, stable_or_infinite())
-
-
-def test_qz_rejects_dimension_mismatch():
-    with pytest.raises((SingularPencil, DimensionMismatch)):
-        qz_ordered(np.eye(2), np.eye(3), stable_or_infinite())
+        pencil_eigendata(e, a)
 
 
 def test_failed_reorder_raises_convergence_failure(monkeypatch, tmp_path, capsys):
@@ -160,7 +157,7 @@ def test_failed_reorder_raises_convergence_failure(monkeypatch, tmp_path, capsys
 
     monkeypatch.setattr(scipy.linalg.lapack, "dtgsen", ill_conditioned_swap)
     with pytest.raises(ConvergenceFailure):
-        qz_ordered(s.e, s.a, stable_or_infinite())
+        weierstrass_split(s)
     with pytest.raises(ConvergenceFailure):
         additive_decompose(s)
     assert main(["approx", str(path), "--norm", "h2", "-o", str(tmp_path / "out.dsys")]) == 1
@@ -274,8 +271,8 @@ def assert_sylvester_residuals(a1, a3, e1, e3, a2, e2, r, l):
     assert np.linalg.norm(e1 @ r - l @ e3 + e2) <= 1e-10 * scale
 
 
-def split_blocks(e, a, selector):
-    oq = qz_ordered(e, a, selector)
+def split_blocks(s, lead):
+    oq = systems._block_split(s, lead, 1e-10)[0]
     k = oq.split
     et, at = oq.et, oq.at
     return at[:k, :k], at[k:, k:], et[:k, :k], et[k:, k:], at[:k, k:], et[:k, k:]
@@ -283,7 +280,7 @@ def split_blocks(e, a, selector):
 
 def test_sylvester_on_qz_blocks_factors_nothing(monkeypatch):
     s = random_unstable_system(60, 30, seed=41, m=2, p=2, descriptor=True)
-    blocks = split_blocks(s.e, s.a, stable_or_infinite())
+    blocks = split_blocks(s, STABLE_OR_INFINITE)
     a1, a3 = blocks[0], blocks[1]
     assert a1.shape == (30, 30) and a3.shape == (30, 30)
     # both diagonal blocks carry complex pairs: 2x2 bumps on the subdiagonal
@@ -304,7 +301,9 @@ def test_sylvester_on_weierstrass_blocks_with_singular_e3(monkeypatch):
     a0 = scipy.linalg.block_diag(rng.standard_normal((n_f, n_f)), np.eye(2))
     u = random_regular(rng, n_f + 2, spread=(1.0, 1.0))
     v = random_regular(rng, n_f + 2, spread=(1.0, 1.0))
-    blocks = split_blocks(u @ e0 @ v, u @ a0 @ v, all_finite())
+    b0 = rng.standard_normal((n_f + 2, 1))
+    c0 = rng.standard_normal((1, n_f + 2))
+    blocks = split_blocks(DescriptorSystem(u @ e0 @ v, u @ a0 @ v, b0, c0), FINITE)
     e3 = blocks[3]
     assert e3.shape == (2, 2)
     assert not np.tril(e3, -1).any()
@@ -337,7 +336,7 @@ def test_sylvester_memory_stays_small():
     # dense k = l = 60 blocks: QZ blocks of a seeded pencil, mixed by random
     # orthogonal factors so that both reductions run
     s = random_unstable_system(120, 60, seed=53, m=2, p=2, descriptor=True)
-    a1, a3, e1, e3, a2, e2 = split_blocks(s.e, s.a, stable_or_infinite())
+    a1, a3, e1, e3, a2, e2 = split_blocks(s, STABLE_OR_INFINITE)
     rng = np.random.default_rng(53)
     u1, v1, u3, v3 = (random_regular(rng, 60, spread=(1.0, 1.0)) for _ in range(4))
     a1, e1 = u1 @ a1 @ v1, u1 @ e1 @ v1
@@ -472,20 +471,3 @@ def test_pencil_eigendata_matches_numpy_on_regular_e():
 def test_pencil_eigendata_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         pencil_eigendata(np.eye(2), np.eye(3))
-
-
-def test_selector_factories():
-    sel = stable_or_infinite()
-    assert sel.include_infinite
-    assert np.array_equal(
-        sel.finite(np.array([-1.0 + 0j, 1.0 + 0j])), np.array([True, False])
-    )
-    sel = antistable_finite()
-    assert not sel.include_infinite
-    assert np.array_equal(
-        sel.finite(np.array([-1.0 + 0j, 1.0 + 0j])), np.array([False, True])
-    )
-    custom = EigenvalueSelector(lambda lam: np.abs(lam) < 2.0, include_infinite=False)
-    assert np.array_equal(
-        custom.finite(np.array([1.0 + 0j, 3.0 + 0j])), np.array([True, False])
-    )

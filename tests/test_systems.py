@@ -1,5 +1,6 @@
 """Descriptor-system model, spectra, transfer evaluation, and decomposition."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -18,7 +19,6 @@ from stablekit import (
     SingularTransform,
     StabilityClass,
     additive_decompose,
-    all_finite,
     direct_sum,
     empty_system,
     frequency_response,
@@ -26,13 +26,11 @@ from stablekit import (
     linf_error,
     negate_output,
     pencil_spectrum,
-    qz_ordered,
     response_at_infinity,
     rl2_norm,
     rse_transform,
     solve_ap2,
     solve_apinf,
-    stable_or_infinite,
     transfer_eval,
     weierstrass_split,
 )
@@ -585,18 +583,70 @@ def test_stored_schur_form_on_every_construction_path(seed):
     assert dec.s_plus.n == 8 and dec.s_minus.n == 6
 
 
+STABLE_OR_INFINITE = lambda lam, infinite: infinite | (lam.real < 0.0)  # noqa: E731
+FINITE = lambda lam, infinite: ~infinite  # noqa: E731
+
+
 @pytest.mark.parametrize("seed", [3, 7])
-def test_block_split_reorders_like_qz_ordered(seed):
+def test_block_split_reorders_the_stored_form(seed):
     s = bumped_descriptor_system(seed)
-    for selector in (stable_or_infinite(), all_finite()):
-        oq, p_mat, q_mat = systems._block_split(s, selector, 1e-10)
-        ref = qz_ordered(s.e, s.a, selector, 1e-10)
-        assert oq.split == ref.split
-        for name in ("u", "v", "et", "at", "alpha", "beta"):
-            assert np.array_equal(getattr(oq, name), getattr(ref, name)), name
+    dec = additive_decompose(s)
+    ws = weierstrass_split(s)
+    for lead, size in ((STABLE_OR_INFINITE, dec.s_plus.n), (FINITE, ws.j.shape[0])):
+        oq, p_mat, q_mat = systems._block_split(s, lead, 1e-10)
+        form = dataclasses.replace(oq, split=0)
+        assert_schur_form(systems._known_spectrum(s.e, s.a, s.b, s.c, s.d, form))
+        # the split counts the mask on the reordered diagonal, and the
+        # public splits take their blocks from it
+        picked = lead(*systems._classify(oq.alpha, oq.beta, s.e, s.a, 1e-10))
         k = oq.split
+        assert picked[:k].all() and not picked[k:].any()
+        assert k == size
         for m in (p_mat @ s.e @ q_mat, p_mat @ s.a @ q_mat):
             assert np.linalg.norm(m[:k, k:]) <= 1e-10 * np.linalg.norm(m)
+
+
+def test_split_counts_the_reordered_diagonal():
+    # QZ returns this model's index-2 pair with |beta| near sqrt(eps), above
+    # the infinite-eigenvalue threshold; the tgsen swaps bring it below. The
+    # split counts the reordered diagonal, so the pair joins the stable part
+    # instead of failing the antistability check of the trailing block.
+    s = bumped_descriptor_system(9, n=10, n_unstable=4)
+    dec = additive_decompose(s)
+    assert (dec.s_plus.n, dec.s_minus.n) == (8, 4)
+    assert pencil_spectrum(dec.s_plus).n_infinite == 2
+
+
+def test_one_classifier_decides_every_split(monkeypatch):
+    # eigenvalues -1, -2, 3 and 5, mixed by orthogonal factors
+    rng = np.random.default_rng(61)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    a0 = np.triu(rng.standard_normal((4, 4)), 1) + np.diag([-1.0, -2.0, 3.0, 5.0])
+    s = DescriptorSystem(u @ v, u @ a0 @ v, rng.standard_normal((4, 2)), rng.standard_normal((2, 4)))
+
+    def counts():
+        rep = pencil_spectrum(s)
+        return rep.n_infinite, additive_decompose(s).s_plus.n, weierstrass_split(s).nil.shape[0]
+
+    assert counts() == (0, 2, 0)
+    classify = systems._classify
+
+    def flip_five(alpha, beta, e, a, tol):
+        lam, infinite = classify(alpha, beta, e, a, tol)
+        flip = np.abs(lam - 5.0) <= 1e-8
+        return np.where(flip, np.inf, lam), infinite | flip
+
+    # reading the pole at 5 as infinite moves it out of the finite spectrum,
+    # into the stable part and into the infinite block, all at once
+    monkeypatch.setattr(systems, "_classify", flip_five)
+    assert counts() == (1, 3, 1)
+    assert_eigen_multisets_close(pencil_spectrum(s).finite_eigenvalues, [-2.0, -1.0, 3.0])
+    dec = additive_decompose(s)
+    for w in (0.0, 0.7, 4.0):
+        g = eval_transfer_np(s, 1j * w)
+        gsum = eval_transfer_np(dec.s_plus, 1j * w) + eval_transfer_np(dec.s_minus, 1j * w)
+        assert np.linalg.norm(g - gsum) <= 1e-8 * (1.0 + np.linalg.norm(g))
 
 
 def test_decompose_routes_infinite_eigenvalues_to_stable_part():
