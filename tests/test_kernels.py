@@ -135,6 +135,11 @@ def test_qz_reconstruction_orthogonality_and_split_property():
         assert not picked(slice(k, n)).any()
 
 
+def test_qz_rejects_dimension_mismatch():
+    with pytest.raises((SingularPencil, DimensionMismatch)):
+        ordered(np.eye(2), np.eye(3), STABLE_OR_INFINITE)
+
+
 def test_qz_rejects_singular_pencil():
     e = np.diag([1.0, 0.0])
     a = np.diag([1.0, 0.0])  # det(sE - A) == 0 identically
