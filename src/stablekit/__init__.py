@@ -66,9 +66,7 @@ from .systems import (
     frequency_response,
     negate_output,
     pencil_spectrum,
-    response_at_infinity,
     rse_transform,
-    transfer_eval,
     transfer_polynomial_part,
     weierstrass_split,
 )

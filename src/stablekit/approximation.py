@@ -20,11 +20,18 @@ part S_plus and an antistable part S_minus. Then:
   carries a removable non-dynamic part that one orthogonal transformation,
   taken from the SVD of A_gamma, eliminates, reducing the order below n
   while preserving optimality.
+
+Because G_hat = G_plus + G_hat_minus, the L-infinity error G - G_hat equals
+G_minus - G_hat_minus, which is sigma_1 times an all-pass at the optimum
+(Glover, IJC 1984). ``solve_apinf`` returns that difference as
+``ApproxResult.error_system``, so the error norms can be evaluated at the
+antistable order instead of on the full input and approximant.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -48,6 +55,7 @@ from .systems import (
     additive_decompose,
     direct_sum,
     empty_system,
+    negate_output,
     pencil_spectrum,
 )
 from .util import default_tol, fro
@@ -116,7 +124,12 @@ class GammaSystem:
 
 @dataclass(frozen=True)
 class ApproxResult:
-    """A stable approximant plus the quantities that produced it."""
+    """A stable approximant plus the quantities that produced it.
+
+    ``error_system`` (L-infinity only) realizes the error G - G_hat as
+    S_minus (+) (-S_hat_minus): the stable part cancels exactly, so its order
+    is at most twice the antistable order, whatever the input's.
+    """
 
     system: DescriptorSystem
     sigma1: float
@@ -124,6 +137,7 @@ class ApproxResult:
     branch: Branch | None
     reduced_order: int
     diagnostics: dict[str, Any]
+    error_system: DescriptorSystem | None
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +170,7 @@ def solve_ap2(s: DescriptorSystem, tol: float | None = None) -> ApproxResult:
         branch=None,
         reduced_order=dec.s_plus.n,
         diagnostics=diagnostics,
+        error_system=None,
     )
 
 
@@ -281,8 +296,8 @@ def solve_apinf(
     E alike) and reattach the stable part.
     """
     tol = default_tol(tol)
-    if gamma_factor is not None and not gamma_factor > 1.0:
-        raise ValueError(f"gamma_factor must exceed 1, got {gamma_factor!r}")
+    if gamma_factor is not None and not 1.0 < gamma_factor < math.inf:
+        raise ValueError(f"gamma_factor must be finite and exceed 1, got {gamma_factor!r}")
     dec = additive_decompose(s, tol)
     diagnostics: dict[str, Any] = {}
     if dec.s_minus.n == 0:
@@ -294,6 +309,7 @@ def solve_apinf(
             branch=Branch.REGULAR,
             reduced_order=dec.s_plus.n,
             diagnostics=diagnostics,
+            error_system=dec.s_minus,
         )
 
     gr = gramians(dec.s_minus, tol)
@@ -337,4 +353,5 @@ def solve_apinf(
         branch=branch,
         reduced_order=system.n,
         diagnostics=diagnostics,
+        error_system=direct_sum(dec.s_minus, negate_output(approx_minus)),
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -27,7 +28,7 @@ import numpy as np
 from .approximation import solve_ap2, solve_apinf
 from .dsysio import load_dsys, save_dsys, write_freqresp_csv
 from .errors import AxisEigenvalue, ParseError, SingularPencil, StablekitError
-from .gramians import linf_error, rl2_norm
+from .gramians import linf_error, linf_of, rl2_norm
 from .synth import random_unstable_system
 from .systems import (
     DescriptorSystem,
@@ -60,10 +61,16 @@ def _emit(report: dict) -> None:
 
 
 def _error_norms(original: DescriptorSystem, approx: DescriptorSystem, tol):
-    err_sys = direct_sum(original, negate_output(approx))
-    grid = linf_error(original, approx, tol=tol)
+    """Error norms of G - G_hat from the two full models."""
+    return _norms_report(
+        rl2_norm(direct_sum(original, negate_output(approx)), tol),
+        linf_error(original, approx, tol=tol),
+    )
+
+
+def _norms_report(error_l2: float, grid) -> dict:
     return {
-        "error_l2": rl2_norm(err_sys, tol),
+        "error_l2": error_l2,
         "error_linf": grid.max_value,
         "argmax_omega": grid.argmax_omega,
         "profile_min": float(grid.values.min()),
@@ -81,7 +88,12 @@ def cmd_approx(args) -> int:
     else:
         result = solve_apinf(s, gamma_factor=args.gamma_factor, tol=args.tol)
     save_dsys(args.output, result.system)
-    norms = _error_norms(s, result.system, args.tol)
+    if result.error_system is None:
+        norms = _error_norms(s, result.system, args.tol)
+    else:
+        # G - G_hat = G_minus - G_hat_minus: no response at the input's order
+        err = result.error_system
+        norms = _norms_report(rl2_norm(err, args.tol), linf_of(err, tol=args.tol))
     elapsed = time.perf_counter() - t0
     report = {
         "command": "approx",
@@ -143,6 +155,9 @@ def cmd_verify(args) -> int:
 def cmd_freqresp(args) -> int:
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
+    for flag, value in (("--wmin", args.wmin), ("--wmax", args.wmax)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     s = load_dsys(args.input)
     rep = pencil_spectrum(s, args.tol)
     fin = rep.finite_eigenvalues

@@ -326,6 +326,9 @@ def linf_error(
     f2 = _finite_part(s2, c2[0], tol)
     wmin = float(wmin) if wmin is not None else 1e-6 * scale
     wmax = float(wmax) if wmax is not None else 1e6 * scale
+    for name, value in (("wmin", wmin), ("wmax", wmax)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (0.0 < wmin < wmax):
         raise ValueError(f"need 0 < wmin < wmax, got [{wmin}, {wmax}]")
     omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, int(n0))])

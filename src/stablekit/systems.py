@@ -46,10 +46,8 @@ __all__ = [
     "WeierstrassSplit",
     "AdditiveDecomposition",
     "pencil_spectrum",
-    "transfer_eval",
     "frequency_response",
     "transfer_polynomial_part",
-    "response_at_infinity",
     "direct_sum",
     "rse_transform",
     "weierstrass_split",
@@ -259,27 +257,6 @@ def pencil_spectrum(s: DescriptorSystem, tol: float | None = None) -> SpectrumRe
 # Transfer function evaluation
 
 
-def transfer_eval(s: DescriptorSystem, z: complex) -> np.ndarray:
-    """Evaluate G(z) = C (zE - A)^{-1} B + D at one point.
-
-    Raises AtPole when zE - A is numerically singular (condition number
-    beyond 1/tol territory).
-    """
-    if s.n == 0:
-        return s.d.astype(complex)
-    pencil = z * s.e.astype(complex) - s.a
-    try:
-        x = np.linalg.solve(pencil, s.b.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise AtPole(f"s = {z} is a pole of the transfer function", s=z) from exc
-    cond = np.linalg.cond(pencil)
-    if not np.isfinite(cond) or cond > 1.0 / default_tol():
-        raise AtPole(
-            f"s = {z} is numerically at a pole (condition number {cond:.3e})", s=z
-        )
-    return s.c @ x + s.d
-
-
 #: Bytes of complex n x n pencils that ``frequency_response`` stacks into one
 #: solve; longer grids are solved block by block, so memory stays bounded.
 _RESPONSE_BLOCK_BYTES = 1 << 20
@@ -345,16 +322,18 @@ def transfer_polynomial_part(s: DescriptorSystem, tol: float | None = None) -> n
     return np.stack(coeffs, axis=0)
 
 
-def response_at_infinity(s: DescriptorSystem, tol: float | None = None) -> np.ndarray | None:
-    """The limit of G(s) as s -> infinity, or None when G is unbounded there."""
-    coeffs = transfer_polynomial_part(s, tol)
-    if coeffs.shape[0] > 1:
-        return None
-    return coeffs[0]
-
-
 # ---------------------------------------------------------------------------
 # System algebra
+
+
+def _block_diag(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    # scipy.linalg.block_diag spends about 70 microseconds per call on
+    # argument handling, more than the copy itself at these sizes.
+    k, l = m1.shape
+    out = np.zeros((k + m2.shape[0], l + m2.shape[1]))
+    out[:k, :l] = m1
+    out[k:, l:] = m2
+    return out
 
 
 def direct_sum(s1: DescriptorSystem, s2: DescriptorSystem) -> DescriptorSystem:
@@ -364,17 +343,17 @@ def direct_sum(s1: DescriptorSystem, s2: DescriptorSystem) -> DescriptorSystem:
             f"direct sum needs matching input/output counts, got "
             f"({s1.m},{s1.p}) and ({s2.m},{s2.p})"
         )
-    e = scipy.linalg.block_diag(s1.e, s2.e)
-    a = scipy.linalg.block_diag(s1.a, s2.a)
+    e = _block_diag(s1.e, s2.e)
+    a = _block_diag(s1.a, s2.a)
     b = np.vstack([s1.b, s2.b])
     c = np.hstack([s1.c, s2.c])
     d = s1.d + s2.d
     f1, f2 = s1._schur, s2._schur
     schur = OrderedQz(
-        u=scipy.linalg.block_diag(f1.u, f2.u),
-        v=scipy.linalg.block_diag(f1.v, f2.v),
-        et=scipy.linalg.block_diag(f1.et, f2.et),
-        at=scipy.linalg.block_diag(f1.at, f2.at),
+        u=_block_diag(f1.u, f2.u),
+        v=_block_diag(f1.v, f2.v),
+        et=_block_diag(f1.et, f2.et),
+        at=_block_diag(f1.at, f2.at),
         split=0,
         alpha=np.concatenate([f1.alpha, f2.alpha]),
         beta=np.concatenate([f1.beta, f2.beta]),

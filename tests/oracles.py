@@ -5,7 +5,8 @@ Everything here is deliberately written against plain numpy primitives
 and these helpers carries evidential weight: transfer values come from raw
 linear solves, L2 norms from adaptive Simpson quadrature, Gramians from
 dense Kronecker solves. The random fixtures build their systems through the
-public constructor.
+public constructor. ``response_at_infinity`` is a convenience over the
+library's ``transfer_polynomial_part``, not an independent oracle.
 
 The balanced-coordinates construction (``glover_oracle``, on top of
 ``balanced_realization``) is the classical route to the optimal L-infinity
@@ -23,15 +24,18 @@ import numpy as np
 import scipy.linalg
 
 from stablekit import (
+    AtPole,
     DescriptorSystem,
     SpectrumViolation,
     StabilityClass,
     empty_system,
     gramians,
     pencil_spectrum,
+    transfer_polynomial_part,
 )
 from stablekit.gramians import _MULTIPLICITY_RTOL as MULTIPLICITY_RTOL
 from stablekit.synth import random_unstable_system
+from stablekit.util import default_tol
 
 # ---------------------------------------------------------------------------
 # Transfer-function evaluation from first principles
@@ -44,6 +48,35 @@ def eval_transfer_np(s, z):
         return d.astype(complex)
     x = np.linalg.solve(z * e - a, b.astype(complex))
     return c @ x + d
+
+
+def transfer_eval(s, z):
+    """Evaluate G(z) = C (zE - A)^{-1} B + D at one point.
+
+    Raises AtPole when zE - A is numerically singular (condition number
+    beyond 1/tol territory).
+    """
+    if s.n == 0:
+        return s.d.astype(complex)
+    pencil = z * s.e.astype(complex) - s.a
+    try:
+        x = np.linalg.solve(pencil, s.b.astype(complex))
+    except np.linalg.LinAlgError as exc:
+        raise AtPole(f"s = {z} is a pole of the transfer function", s=z) from exc
+    cond = np.linalg.cond(pencil)
+    if not np.isfinite(cond) or cond > 1.0 / default_tol():
+        raise AtPole(
+            f"s = {z} is numerically at a pole (condition number {cond:.3e})", s=z
+        )
+    return s.c @ x + s.d
+
+
+def response_at_infinity(s, tol=None):
+    """The limit of G(s) as s -> infinity, or None when G is unbounded there."""
+    coeffs = transfer_polynomial_part(s, tol)
+    if coeffs.shape[0] > 1:
+        return None
+    return coeffs[0]
 
 
 def sample_diff_norms(s1, s2, omegas):

@@ -25,7 +25,6 @@ from stablekit import (
     load_dsys,
     pencil_spectrum,
     reduce_singular_svd,
-    response_at_infinity,
     rse_transform,
     solve_ap2,
     solve_apinf,
@@ -40,6 +39,7 @@ from oracles import (
     quad_l2_diff,
     random_antistable_tri,
     random_regular,
+    response_at_infinity,
 )
 
 NEHARI_TEXT = "DSYS 1 1 1\nE\n1.0\nA\n1.0\nB\n1.0\nC\n1.0\nD\n0.0\n"

@@ -19,16 +19,23 @@ from stablekit import (
     linf_error,
     pencil_spectrum,
     reduce_singular_svd,
-    response_at_infinity,
     rse_transform,
     solve_ap2,
     solve_apinf,
     svd,
-    transfer_eval,
 )
 from stablekit.synth import random_antistable_system, random_orthogonal, random_unstable_system
 
-from oracles import NotMinimal, eval_transfer_np, glover_oracle, quad_l2_diff, random_regular
+from oracles import (
+    NotMinimal,
+    bumped_descriptor_system,
+    eval_transfer_np,
+    glover_oracle,
+    quad_l2_diff,
+    random_regular,
+    response_at_infinity,
+    transfer_eval,
+)
 
 
 def scalar_system(e, a, b, c, d=0.0):
@@ -514,3 +521,57 @@ def test_apinf_suboptimal_preserves_feedthrough():
     vinf = response_at_infinity(res.system)
     assert vinf is not None
     assert_allclose(vinf, d, atol=1e-9)
+
+
+def test_apinf_rejects_infinite_gamma_factor():
+    with pytest.raises(ValueError, match="gamma_factor"):
+        solve_apinf(NEHARI, gamma_factor=float("inf"))
+
+
+def eight_states_three_unstable():
+    return random_unstable_system(8, 3, seed=1, m=2, p=2)
+
+
+# case -> (model, gamma_factor, branch taken)
+ERROR_SYSTEM_CASES = {
+    "regular": (eight_states_three_unstable, None, Branch.REGULAR),
+    "singular-svd": (
+        lambda: direct_sum(random_unstable_system(3, 0, seed=2), ROTATE2),
+        None,
+        Branch.SINGULAR_SVD,
+    ),
+    "gamma-1.01": (eight_states_three_unstable, 1.01, Branch.REGULAR),
+    "index-2": (lambda: bumped_descriptor_system(5), None, Branch.REGULAR),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_SYSTEM_CASES))
+def test_apinf_error_system_realizes_the_error(case):
+    make, factor, branch = ERROR_SYSTEM_CASES[case]
+    s = make()
+    res = solve_apinf(s, gamma_factor=factor)
+    assert res.branch is branch
+    n_minus = int((pencil_spectrum(s).finite_eigenvalues.real > 0).sum())
+    assert res.error_system.n <= 2 * n_minus < s.n
+    # 64 frequencies; above 1e2 the full-model difference of the index-2
+    # case loses digits to its cancelling polynomial parts
+    points = 1j * np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 63)])
+    want = [eval_transfer_np(s, z) - eval_transfer_np(res.system, z) for z in points]
+    got = [eval_transfer_np(res.error_system, z) for z in points]
+    scale = max(np.linalg.norm(w, 2) for w in want)
+    assert scale >= res.sigma1 * (1.0 - 1e-9)
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w, 2) <= 1e-10 * scale
+
+
+def test_apinf_error_system_of_a_stable_input_is_zero():
+    s = random_unstable_system(4, 0, seed=3, m=2, p=2)
+    res = solve_apinf(s)
+    assert res.error_system.n == 0
+    for z in axis_points():
+        assert not eval_transfer_np(res.error_system, z).any()
+        assert_allclose(eval_transfer_np(res.system, z), eval_transfer_np(s, z), atol=0.0)
+
+
+def test_ap2_has_no_error_system():
+    assert solve_ap2(NEHARI).error_system is None

@@ -364,6 +364,12 @@ def test_linf_axis_pole_raises():
         linf_of(s, wmin=1.0, wmax=10.0)
 
 
+def test_linf_rejects_a_non_finite_bound():
+    s = random_unstable_system(4, 2, seed=23)
+    with pytest.raises(ValueError, match="wmax must be finite"):
+        linf_error(s, s, wmax=np.inf)
+
+
 def test_linf_matches_dense_scan_oracle():
     rng = np.random.default_rng(79)
     for _ in range(4):

@@ -1,5 +1,6 @@
 """DSYS parsing/serialization, CSV output, and the command-line interface."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -18,10 +19,11 @@ from stablekit import (
     write_dsys,
     write_freqresp_csv,
 )
+from stablekit.cli import main
 from stablekit.synth import random_unstable_system
 from stablekit.util import default_tol
 
-from oracles import eval_transfer_np
+from oracles import bumped_descriptor_system, eval_transfer_np
 
 MINIMAL = """\
 DSYS 1 1 1
@@ -440,3 +442,61 @@ def test_cli_approx_suboptimal_gamma_factor(nehari_file, tmp_path):
     assert_allclose(eval_transfer_np(approx, 0.0), [[-0.2]], atol=1e-12)
     assert report["error_linf"] <= 1.0 + 1e-9
     assert report["error_linf"] == pytest.approx(0.8, abs=1e-8)
+
+
+@pytest.mark.parametrize("flag, value", [("--wmin", "nan"), ("--wmax", "inf")])
+def test_cli_freqresp_rejects_non_finite_bounds(tmp_path, flag, value):
+    src = tmp_path / "model.dsys"
+    csv_out = tmp_path / "resp.csv"
+    save_dsys(src, random_unstable_system(3, 1, seed=17))
+    proc = run_cli("freqresp", src, f"{flag}={value}", "-o", csv_out)
+    assert proc.returncode == 1
+    assert f"{flag} must be finite" in proc.stderr
+    assert proc.stdout == ""
+    assert not csv_out.exists()
+
+
+def test_cli_approx_rejects_infinite_gamma_factor(nehari_file, tmp_path):
+    out = tmp_path / "x.dsys"
+    proc = run_cli(
+        "approx", nehari_file, "--norm", "hinf", "--gamma-factor", "inf", "-o", out
+    )
+    assert proc.returncode == 1
+    assert "gamma_factor must be finite" in proc.stderr
+    assert not out.exists()
+
+
+def run_main(capsys, *argv):
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("factor", [None, 1.01])
+def test_cli_approx_hinf_norms_come_from_the_antistable_error(
+    tmp_path, capsys, monkeypatch, factor
+):
+    # index 2, 14 states, 4 unstable poles: the error G_minus - G_hat_minus
+    # has at most 8 states, the finite parts of G and G_hat have 12
+    s = bumped_descriptor_system(9, n=12, n_unstable=4)
+    src, out = tmp_path / "s.dsys", tmp_path / "approx.dsys"
+    save_dsys(src, s)
+    # the package root's ``gramians`` is the function, so fetch the module by name
+    gramians = importlib.import_module("stablekit.gramians")
+    response = gramians.frequency_response
+    orders = []
+
+    def recorded(system, omegas):
+        orders.append(system.n)
+        return response(system, omegas)
+
+    monkeypatch.setattr(gramians, "frequency_response", recorded)
+    extra = [] if factor is None else ["--gamma-factor", factor]
+    approx = run_main(capsys, "approx", src, "--norm", "hinf", "-o", out, *extra)
+    monkeypatch.undo()
+    assert orders and max(orders) <= 8
+    verify = run_main(capsys, "verify", src, out, "--norm", "hinf")
+    # the optimal error is not strictly proper (L2 norm inf); the suboptimal one is
+    assert np.isinf(approx["error_l2"]) == (factor is None)
+    for key in ("error_linf", "error_l2"):
+        assert approx[key] == pytest.approx(verify[key], rel=1e-10)

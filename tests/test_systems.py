@@ -26,12 +26,10 @@ from stablekit import (
     linf_error,
     negate_output,
     pencil_spectrum,
-    response_at_infinity,
     rl2_norm,
     rse_transform,
     solve_ap2,
     solve_apinf,
-    transfer_eval,
     weierstrass_split,
 )
 from stablekit.synth import random_antistable_system, random_unstable_system
@@ -42,6 +40,8 @@ from oracles import (
     bumped_descriptor_system,
     eval_transfer_np,
     random_regular,
+    response_at_infinity,
+    transfer_eval,
 )
 
 
