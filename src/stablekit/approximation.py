@@ -57,6 +57,7 @@ from .systems import (
     empty_system,
     negate_output,
     pencil_spectrum,
+    weierstrass_split,
 )
 from .util import default_tol, fro
 
@@ -293,7 +294,10 @@ def solve_apinf(
     pipeline: decompose, Gramians, sigma_1, gamma system; take it directly
     when its A matrix is cleanly regular, otherwise eliminate the
     non-dynamic part with ``reduce_singular_svd`` (standard and descriptor
-    E alike) and reattach the stable part.
+    E alike). Infinite eigenvalues left with a constant polynomial part fold
+    into the feedthrough (the ``weierstrass_split`` finite part), so the
+    antistable side keeps n - multiplicity states. Then reattach the stable
+    part.
     """
     tol = default_tol(tol)
     if gamma_factor is not None and not 1.0 < gamma_factor < math.inf:
@@ -336,6 +340,9 @@ def solve_apinf(
     else:
         approx_minus = reduce_singular_svd(gs, tol)
         branch = Branch.SINGULAR_SVD
+    ws = weierstrass_split(approx_minus, tol)
+    if ws.coefficients.shape[0] == 1:
+        approx_minus = ws.finite
 
     system = direct_sum(dec.s_plus, approx_minus)
     rep = pencil_spectrum(system, tol)

@@ -31,14 +31,13 @@ from .errors import (
 from .systems import (
     DescriptorSystem,
     StabilityClass,
-    _block_split,
-    _diagonal_block,
     _mirror,
     additive_decompose,
     empty_system,
     frequency_response,
     pencil_spectrum,
     transfer_polynomial_part,
+    weierstrass_split,
 )
 from .util import default_tol, fro
 
@@ -257,7 +256,7 @@ def _pole_scale(*systems: DescriptorSystem, tol: float | None = None) -> float:
 def _difference_at_infinity(c1: np.ndarray, c2: np.ndarray, tol: float) -> float:
     """Spectral norm of G1 - G2 at infinity; inf when the difference is unbounded.
 
-    ``c1``/``c2`` are the ``transfer_polynomial_part`` coefficients of G1, G2.
+    ``c1``/``c2`` are the polynomial coefficients of G1, G2.
     """
     length = max(c1.shape[0], c2.shape[0])
     p, m = c1.shape[1:]
@@ -273,21 +272,6 @@ def _difference_at_infinity(c1: np.ndarray, c2: np.ndarray, tol: float) -> float
     if p == 0 or m == 0:
         return 0.0
     return float(np.linalg.norm(diff[0], 2))
-
-
-def _finite_part(s: DescriptorSystem, t0: np.ndarray, tol: float) -> DescriptorSystem:
-    """The finite-spectrum part of G plus its constant coefficient ``t0``.
-
-    G minus this system is the polynomial s T_1 + s^2 T_2 + ... of its
-    infinite part. It is the leading diagonal block of the split that puts
-    the finite eigenvalues first, so no factorization runs; a system without
-    infinite eigenvalues is its own finite part.
-    """
-    if not pencil_spectrum(s, tol).has_infinite:
-        return s
-    oq, p_mat, q_mat = _block_split(s, lambda lam, infinite: ~infinite, tol)
-    k = oq.split
-    return _diagonal_block(oq, 0, k, (p_mat @ s.b)[:k], (s.c @ q_mat)[:, :k], t0)
 
 
 def linf_error(
@@ -307,10 +291,10 @@ def linf_error(
     refinement around the top three local maxima (ties broken toward lower
     omega) until the bracket is below ``reltol`` relative to its location.
     The reported maximum also covers the difference at omega = infinity,
-    which is infinite when G1 - G2 is improper. A system with infinite
-    eigenvalues is sampled through ``_finite_part``, so polynomial parts
-    that cancel in G1 - G2 are never subtracted in floating point. Raises
-    NonFiniteSample if any sample at finite omega is not finite.
+    which is infinite when G1 - G2 is improper. Each system is split once
+    and sampled through its ``weierstrass_split`` finite part, so polynomial
+    parts that cancel in G1 - G2 are never subtracted in floating point.
+    Raises NonFiniteSample if any sample at finite omega is not finite.
     """
     tol = default_tol(tol)
     if s1.m != s2.m or s1.p != s2.p:
@@ -319,11 +303,8 @@ def linf_error(
             f"({s1.m},{s1.p}) and ({s2.m},{s2.p})"
         )
     scale = _pole_scale(s1, s2, tol=tol)
-    c1 = transfer_polynomial_part(s1, tol)
-    c2 = transfer_polynomial_part(s2, tol)
-    value_at_inf = _difference_at_infinity(c1, c2, tol)
-    f1 = _finite_part(s1, c1[0], tol)
-    f2 = _finite_part(s2, c2[0], tol)
+    split1, split2 = weierstrass_split(s1, tol), weierstrass_split(s2, tol)
+    value_at_inf = _difference_at_infinity(split1.coefficients, split2.coefficients, tol)
     wmin = float(wmin) if wmin is not None else 1e-6 * scale
     wmax = float(wmax) if wmax is not None else 1e6 * scale
     for name, value in (("wmin", wmin), ("wmax", wmax)):
@@ -335,7 +316,7 @@ def linf_error(
 
     def batch(ws: np.ndarray) -> np.ndarray:
         try:
-            diff = frequency_response(f1, ws) - frequency_response(f2, ws)
+            diff = frequency_response(split1.finite, ws) - frequency_response(split2.finite, ws)
         except AtPole as exc:
             raise NonFiniteSample(str(exc)) from exc
         vals = _spectral_norms(diff)

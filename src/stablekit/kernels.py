@@ -3,8 +3,10 @@
 This module wraps the LAPACK-backed factorizations (generalized Schur form
 and SVD) behind the contracts the rest of the package relies on, and solves
 the coupled generalized Sylvester equation that block-diagonalizes a
-triangularized pencil. Which diagonal pairs of a Schur form are infinite,
-stable or antistable is decided in ``systems``, which also reorders a
+triangularized pencil. Which eigenvalues of a pencil are infinite is
+decided once, by rank decisions on E, when ``pencil_eigendata`` builds the
+generalized Schur form: the infinite pairs go last, with beta exactly 0.
+Where the finite ones lie is read in ``systems``, which also reorders a
 system's stored form; the Gramians' Lyapunov equations are solved in
 ``gramians``, on that stored form.
 
@@ -13,6 +15,7 @@ All operations are pure functions over immutable inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +46,11 @@ __all__ = [
 class OrderedQz:
     """Ordered generalized Schur decomposition U E V = Et, U A V = At.
 
-    ``u`` and ``v`` are orthogonal, ``et``/``at`` quasi-upper-triangular, and
-    ``split`` is the size of the leading block whose pencil spectrum lies in
-    the selected region. ``alpha``/``beta`` are the generalized eigenvalue
-    data of the reordered diagonal, so ``[:split]`` belongs to the leading
-    block and ``[split:]`` to the trailing one.
+    ``u`` and ``v`` are orthogonal, ``et``/``at`` quasi-upper-triangular,
+    and ``alpha``/``beta`` the generalized eigenvalue data of the diagonal.
+    The layout is [finite | infinite]: ``split`` counts the finite pairs,
+    which lead, and the trailing ``n - split`` pairs are infinite, with
+    beta exactly 0, ``et`` strictly and ``at`` upper triangular there.
     """
 
     u: np.ndarray
@@ -96,32 +99,67 @@ def _regularity_check(alpha: np.ndarray, beta: np.ndarray, e: np.ndarray, a: np.
         )
 
 
-def _select_none(alpha, beta):
-    return np.zeros(np.asarray(alpha).shape, dtype=bool)
+def _qz(a: np.ndarray, e: np.ndarray):
+    # ordqz with an empty selection performs no reordering but returns the
+    # diagonal data as LAPACK tgsen computes it, like every later reorder.
+    try:
+        return scipy.linalg.ordqz(
+            a, e, sort=lambda alpha, beta: np.zeros(alpha.shape, dtype=bool), output="real"
+        )
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK-dependent
+        raise ConvergenceFailure(f"QZ iteration failed: {exc}") from exc
 
 
-def infinite_eigenvalue_threshold(e: np.ndarray, a: np.ndarray, tol: float) -> float:
-    """Bound on |beta| below which a generalized eigenvalue counts as infinite.
+def _deflate_infinite(t, s, u, v, floor: float, a_floor: float, slack: float) -> int:
+    """Staircase deflation of the infinite eigenvalues of (T, S), in place.
 
-    Combines the E-relative criterion ``tol * ||E||_F`` with the pencil-level
-    noise floor of the regularity test, so that an E block that is itself
-    numerical noise (for example after a rank reduction) still classifies as
-    singular-E rather than producing spurious huge finite eigenvalues.
+    While the leading block of T, rank deficient on entry, has singular
+    values at or below ``floor``: rotate its rows by its left singular
+    vectors, zero the null rows, RQ-compress the same rows of S onto a
+    triangle R and shrink the block (Van Dooren, LAA 27, 1979). U and V
+    accumulate the rotations. Returns the size of the block left. An R_ii at
+    or below ``a_floor`` means a zero row in T and S: a singular pencil. S
+    must dominate the null rows, min |R_ii| * floor > ``slack`` * (largest
+    null singular value); rows small in T and S alike belong to a badly
+    scaled finite eigenvalue, so the staircase stops and QZ reads them.
     """
-    n = e.shape[0]
-    return max(tol * fro(e), n * EPS * 32.0 * (fro(e) + fro(a)))
+    k = t.shape[0]
+    while k:
+        w, sv, _ = np.linalg.svd(t[:k, :k])
+        r = int(np.count_nonzero(sv > floor))
+        if r == k:
+            break
+        tri, q = scipy.linalg.rq(w[:, r:].T @ s[:k, :k])
+        r_min = np.abs(np.diagonal(tri[:, r:])).min()
+        if r_min <= a_floor:
+            raise SingularPencil(
+                "pencil (E, A) is singular: a null row of E meets a row of A "
+                f"below {a_floor:.3e}"
+            )
+        if r_min * floor <= slack * sv[r]:
+            break
+        for m in (t, s, u):
+            m[:k] = w.T @ m[:k]
+        for m in (t[:k], s[:k], v):
+            m[:, :k] = m[:, :k] @ q.T
+        t[r:k, :k] = 0.0
+        s[r:k, :k] = np.triu(s[r:k, :k], r)
+        k = r
+        if (np.linalg.svd(t[:k, :k], compute_uv=False) > floor).all():
+            break
+    return k
 
 
 def pencil_eigendata(e, a) -> OrderedQz:
-    """Generalized Schur form of the pencil (E, A), in QZ order (``split`` 0).
+    """Generalized Schur form of the pencil (E, A), finite pairs first.
 
-    One real QZ gives orthogonal U, V with U E V = Et upper triangular and
-    U A V = At quasi-upper triangular; ``alpha``/``beta`` are the eigenvalue
-    data of its diagonal. Eigenvalues are alpha/beta; beta below
-    ``infinite_eigenvalue_threshold`` marks an infinite eigenvalue. Raises
-    SingularPencil when the pencil has no well-defined spectrum.
-    The block splits of ``systems`` reorder this form instead of factoring
-    (E, A) again.
+    Which eigenvalues are infinite is decided here, once, by rank decisions
+    on E: singular values at or below max(tol ||E||_F, 32 n eps (||E||_F +
+    ||A||_F)) count as zero, at the default tol. With E of full numeric rank
+    the form is one real QZ; otherwise ``_deflate_infinite`` moves the
+    infinite eigenvalues into a trailing block and QZ runs on the leading
+    one. Raises SingularPencil when the pencil has no well-defined spectrum.
+    The splits of ``systems`` reorder this form instead of factoring again.
     """
     e = as_matrix(e, "E")
     a = as_matrix(a, "A")
@@ -134,14 +172,25 @@ def pencil_eigendata(e, a) -> OrderedQz:
             u=empty, v=empty, et=empty, at=empty, split=0,
             alpha=np.zeros(0, dtype=complex), beta=np.zeros(0),
         )
-    # ordqz with an empty selection performs no reordering but returns the
-    # diagonal data as LAPACK tgsen computes it, like every later reorder.
-    try:
-        at, et, alpha, beta, q, z = scipy.linalg.ordqz(a, e, sort=_select_none, output="real")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK-dependent
-        raise ConvergenceFailure(f"QZ iteration failed: {exc}") from exc
+    tol = default_tol()
+    noise = n * EPS * 32.0 * (fro(e) + fro(a))
+    floor = max(tol * fro(e), noise)
+    if (np.linalg.svd(e, compute_uv=False) > floor).all():
+        at, et, alpha, beta, q, z = _qz(a, e)
+        u, v, k = q.T, z, n
+    else:
+        et, at, u, v = e.copy(), a.copy(), np.eye(n), np.eye(n)
+        k = _deflate_infinite(
+            et, at, u, v, floor, max(tol * fro(a), noise), math.sqrt(tol) * fro(a)
+        )
+        alpha, beta = at.diagonal().astype(complex), np.zeros(n)
+        if k:
+            at[:k, :k], et[:k, :k], alpha[:k], beta[:k], q, z = _qz(at[:k, :k], et[:k, :k])
+            et[:k, k:], at[:k, k:] = q.T @ et[:k, k:], q.T @ at[:k, k:]
+            u[:k] = q.T @ u[:k]
+            v[:, :k] = v[:, :k] @ z
     _regularity_check(alpha, beta, e, a)
-    return OrderedQz(u=q.T, v=z, et=et, at=at, split=0, alpha=alpha, beta=beta)
+    return OrderedQz(u=u, v=v, et=et, at=at, split=k, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------

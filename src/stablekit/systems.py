@@ -5,11 +5,12 @@ G(s) = C (sE - A)^{-1} B + D. E may be singular as long as the pencil
 (E, A) is regular; n = 0 is allowed and realizes the constant transfer D.
 
 Every system keeps the generalized Schur form of (E, A) from its
-construction. Whether a diagonal pair of that form is infinite, and if
-finite where its eigenvalue lies, is decided in one place, ``_classify``:
-the spectrum report reads the stored diagonal through it, and the
-Weierstrass split and the additive decomposition reorder the stored form
-by a mask computed from it.
+construction, laid out as [finite | infinite]: which pairs are infinite is
+decided there, once, by rank decisions on E, and every form built from it
+keeps that layout. ``_classify`` reads the layout and the finite
+eigenvalues from the stored diagonal: the spectrum report reads it, and the
+additive decomposition reorders the finite pairs by a mask computed from
+it. The Weierstrass split needs no reordering at all.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
 from .kernels import (
     OrderedQz,
     _regularity_check,
-    infinite_eigenvalue_threshold,
     pencil_eigendata,
     solve_generalized_sylvester,
 )
@@ -123,10 +123,8 @@ def _known_spectrum(e, a, b, c, d, schur: OrderedQz) -> DescriptorSystem:
     """A system whose generalized Schur form ``schur`` is known by construction.
 
     Serves QZ diagonal blocks, direct sums and sign flips of validated
-    systems: the constructor's regularity criterion runs on the form's
-    diagonal data instead of on a fresh factorization.
+    systems, which are regular by construction: nothing is checked again.
     """
-    _regularity_check(schur.alpha, schur.beta, e, a)
     s = object.__new__(DescriptorSystem)
     s._store(e, a, b, c, d, schur)
     return s
@@ -135,13 +133,15 @@ def _known_spectrum(e, a, b, c, d, schur: OrderedQz) -> DescriptorSystem:
 def _diagonal_block(oq: OrderedQz, lo: int, hi: int, b, c, d) -> DescriptorSystem:
     """The diagonal block [lo:hi, lo:hi] of a generalized Schur form as a system.
 
-    Such a block is its own generalized Schur form, with U = V = I.
+    Such a block is its own generalized Schur form, with U = V = I, and keeps
+    the [finite | infinite] layout.
     """
     e = _frozen(oq.et[lo:hi, lo:hi])
     a = _frozen(oq.at[lo:hi, lo:hi])
     eye = np.eye(hi - lo)
     schur = OrderedQz(
-        u=eye, v=eye, et=e, at=a, split=0, alpha=oq.alpha[lo:hi], beta=oq.beta[lo:hi]
+        u=eye, v=eye, et=e, at=a, split=max(min(hi, oq.split) - lo, 0),
+        alpha=oq.alpha[lo:hi], beta=oq.beta[lo:hi],
     )
     return _known_spectrum(e, a, b, c, d, schur)
 
@@ -154,7 +154,7 @@ def _mirror(s: DescriptorSystem) -> DescriptorSystem:
     """
     f = s._schur
     schur = OrderedQz(
-        u=f.u, v=f.v, et=f.et, at=-f.at, split=0, alpha=-f.alpha.conj(), beta=f.beta
+        u=f.u, v=f.v, et=f.et, at=-f.at, split=f.split, alpha=-f.alpha.conj(), beta=f.beta
     )
     return _known_spectrum(s.e, -s.a, s.b, -s.c, s.d, schur)
 
@@ -177,18 +177,18 @@ def negate_output(s: DescriptorSystem) -> DescriptorSystem:
 # Spectrum
 
 
-def _classify(alpha: np.ndarray, beta: np.ndarray, e, a, tol: float):
+def _classify(form: OrderedQz):
     """Eigenvalues of a Schur diagonal and which of them are infinite.
 
-    Returns ``(lam, infinite)`` in diagonal order: ``infinite`` marks the
-    pairs with |beta| at or below ``infinite_eigenvalue_threshold`` of the
-    pencil (E, A), and ``lam`` holds alpha/beta for the others (inf for
-    infinite pairs). Every spectral decision of this module reads it.
+    Returns ``(lam, infinite)`` in diagonal order. The layout decides:
+    ``infinite`` marks the trailing ``n - form.split`` pairs, whose beta is
+    exactly 0, and ``lam`` holds alpha/beta for the others (inf for infinite
+    pairs). Every spectral decision of this module reads it.
     """
-    infinite = np.abs(beta) <= infinite_eigenvalue_threshold(e, a, tol)
-    lam = np.full(alpha.shape, np.inf, dtype=complex)
-    lam[~infinite] = alpha[~infinite] / beta[~infinite]
-    return lam, infinite
+    k = form.split
+    lam = np.full(form.alpha.shape, np.inf, dtype=complex)
+    lam[:k] = form.alpha[:k] / form.beta[:k]
+    return lam, np.arange(lam.size) >= k
 
 
 class StabilityClass(enum.Enum):
@@ -196,7 +196,6 @@ class StabilityClass(enum.Enum):
     ANTISTABLE = "antistable"
     AXIS_FREE = "axis-free"
     AXIS_EIGENVALUE = "axis-eigenvalue"
-    SINGULAR_PENCIL = "singular-pencil"
 
 
 @dataclass(frozen=True)
@@ -220,12 +219,12 @@ def pencil_spectrum(s: DescriptorSystem, tol: float | None = None) -> SpectrumRe
     Stable means every finite eigenvalue has Re < 0 (infinite allowed);
     antistable means every eigenvalue is finite with Re > 0 (E regular).
     Finite eigenvalues within the band |Re| <= tol * (1 + |lambda|) are
-    classified as axis eigenvalues. Reads the diagonal of the Schur form
-    stored at construction; every threshold comes from the system's own E
-    and A.
+    classified as axis eigenvalues; ``tol`` sets only that band. Reads the
+    diagonal of the Schur form stored at construction, whose layout fixed
+    which eigenvalues are infinite.
     """
     tol = default_tol(tol)
-    lam, infinite = _classify(s._schur.alpha, s._schur.beta, s.e, s.a, tol)
+    lam, infinite = _classify(s._schur)
     n_inf = int(np.count_nonzero(infinite))
     finite = lam[~infinite]
     order = np.lexsort((finite.imag, finite.real))
@@ -289,37 +288,13 @@ def frequency_response(s: DescriptorSystem, omegas) -> np.ndarray:
 
 
 def transfer_polynomial_part(s: DescriptorSystem, tol: float | None = None) -> np.ndarray:
-    """Coefficients T_i of the behaviour of G at infinity.
+    """Coefficients T_i of the behaviour of G at infinity: ``weierstrass_split``'s.
 
     Returns an (l, p, m) array with G(s) = strictly-proper part +
     sum_i s^i T_i; trailing negligible coefficients are trimmed, so l = 1
     with T_0 = D for a system with regular E. l > 1 means G is improper.
     """
-    tol = default_tol(tol)
-    if not pencil_spectrum(s, tol).has_infinite:
-        return s.d[None, :, :].copy()
-    ws = weierstrass_split(s, tol)
-    coeffs = [np.asarray(s.d, dtype=np.float64).copy()]
-    if ws.nil.shape[0] > 0:
-        power = np.eye(ws.nil.shape[0])
-        scales = []
-        raw = []
-        for _ in range(ws.nu):
-            raw.append(ws.c_n @ power @ ws.b_n)
-            scales.append(fro(ws.c_n) * fro(power) * fro(ws.b_n))
-            power = power @ ws.nil
-        coeffs[0] -= raw[0]
-        for i in range(1, len(raw)):
-            coeffs.append(-raw[i])
-        # Trim trailing coefficients that vanish relative to their own
-        # construction scale (products of already-computed factors).
-        while len(coeffs) > 1:
-            i = len(coeffs) - 1
-            if fro(coeffs[i]) <= tol * (1.0 + scales[i]):
-                coeffs.pop()
-            else:
-                break
-    return np.stack(coeffs, axis=0)
+    return weierstrass_split(s, tol).coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +324,18 @@ def direct_sum(s1: DescriptorSystem, s2: DescriptorSystem) -> DescriptorSystem:
     c = np.hstack([s1.c, s2.c])
     d = s1.d + s2.d
     f1, f2 = s1._schur, s2._schur
+    # The block-diagonal form, permuted to [finite 1 | finite 2 | infinite 1
+    # | infinite 2]: still triangular, because both blocks are.
+    n1 = s1.n
+    perm = np.r_[0 : f1.split, n1 : n1 + f2.split, f1.split : n1, n1 + f2.split : e.shape[0]]
     schur = OrderedQz(
-        u=_block_diag(f1.u, f2.u),
-        v=_block_diag(f1.v, f2.v),
-        et=_block_diag(f1.et, f2.et),
-        at=_block_diag(f1.at, f2.at),
-        split=0,
-        alpha=np.concatenate([f1.alpha, f2.alpha]),
-        beta=np.concatenate([f1.beta, f2.beta]),
+        u=_block_diag(f1.u, f2.u)[perm],
+        v=_block_diag(f1.v, f2.v)[:, perm],
+        et=_block_diag(f1.et, f2.et)[np.ix_(perm, perm)],
+        at=_block_diag(f1.at, f2.at)[np.ix_(perm, perm)],
+        split=f1.split + f2.split,
+        alpha=np.concatenate([f1.alpha, f2.alpha])[perm],
+        beta=np.concatenate([f1.beta, f2.beta])[perm],
     )
     return _known_spectrum(e, a, b, c, d, schur)
 
@@ -386,50 +365,47 @@ def rse_transform(p, s: DescriptorSystem, q) -> DescriptorSystem:
 # Block split shared by the Weierstrass split and the additive decomposition
 
 
-def _block_split(s: DescriptorSystem, lead, tol: float):
-    """Reordered Schur form of (E, A) plus Sylvester decoupling of its two blocks.
+def _block_split(s: DescriptorSystem, lead: np.ndarray, tol: float):
+    """Stored Schur form with the pairs ``lead`` marks first, plus Sylvester decoupling.
 
-    ``lead(lam, infinite)`` maps the ``_classify`` output of a Schur diagonal
-    to the mask of pairs that belong to the leading block. LAPACK ``tgsen``
-    (ijob = 0; Kagstrom & Poromaa, Numer. Algorithms 12, 1996) moves the
-    pairs the mask picks on the stored diagonal to the front and updates U
-    and V, so no QZ runs; a swap too ill-conditioned to keep the form raises
-    ConvergenceFailure. A swap can carry a pair across the infinite-eigenvalue
-    threshold, so ``oq.split`` counts ``lead`` on the reordered diagonal
-    rather than on the stored one. Returns ``(oq, p, q)``:
-    P (E, A) Q is block diagonal with the diagonal blocks of
-    ``oq.et``/``oq.at`` split at ``oq.split``.
+    ``lead`` marks finite pairs of the stored diagonal. LAPACK ``tgsen``
+    (ijob = 0; Kagstrom & Poromaa, Numer. Algorithms 12, 1996) moves them to
+    the front and updates U and V, so no QZ runs; a swap too ill-conditioned
+    to keep the form raises ConvergenceFailure. The infinite pairs trail
+    every finite pair and are never selected, so they never swap. Returns
+    ``(oq, p, q)``: P (E, A) Q is block diagonal with the diagonal blocks of
+    ``oq.et``/``oq.at`` split after the k = count(lead) leading pairs.
     """
-    form = s._schur
+    oq = s._schur
     n = s.n
-    if n == 0:
-        return form, np.eye(0), np.eye(0)
-    at, et, alphar, alphai, beta, q, z, *_, info = scipy.linalg.lapack.dtgsen(
-        lead(*_classify(form.alpha, form.beta, s.e, s.a, tol)),
-        form.at, form.et, form.u.T, form.v,
-        ijob=0, wantq=1, wantz=1, lwork=4 * n + 16, liwork=1,
-    )
-    if info != 0:
-        raise ConvergenceFailure(
-            f"reordering the generalized Schur form failed (tgsen info {info}); "
-            "swapping its eigenvalues is too ill-conditioned"
+    k = int(np.count_nonzero(lead))
+    if not lead[:k].all():
+        at, et, alphar, alphai, beta, q, z, *_, info = scipy.linalg.lapack.dtgsen(
+            lead, oq.at, oq.et, oq.u.T, oq.v,
+            ijob=0, wantq=1, wantz=1, lwork=4 * n + 16, liwork=1,
         )
-    alpha = alphar + alphai * 1j
-    _regularity_check(alpha, beta, s.e, s.a)
-    k = int(np.count_nonzero(lead(*_classify(alpha, beta, s.e, s.a, tol))))
-    oq = OrderedQz(u=q.T, v=z, et=et, at=at, split=k, alpha=alpha, beta=beta)
+        if info != 0:
+            raise ConvergenceFailure(
+                f"reordering the generalized Schur form failed (tgsen info {info}); "
+                "swapping its eigenvalues is too ill-conditioned"
+            )
+        oq = OrderedQz(
+            u=q.T, v=z, et=et, at=at, split=oq.split, alpha=alphar + alphai * 1j, beta=beta
+        )
+    if k == 0 or k == n:
+        return oq, oq.u, oq.v
+    # The regularity criterion on the form being split; its blocks inherit
+    # it. Its scalar arithmetic also refills CPython's float free list, so
+    # the bytes the Sylvester call allocates (traced benchmark runs compare
+    # them between passes) do not depend on what ran before.
+    _regularity_check(oq.alpha, oq.beta, s.e, s.a)
     e1, e2, e3 = oq.et[:k, :k], oq.et[:k, k:], oq.et[k:, k:]
     a1, a2, a3 = oq.at[:k, :k], oq.at[:k, k:], oq.at[k:, k:]
-    if k == 0 or k == n:
-        r = l = np.zeros((k, n - k))
-    else:
-        r, l = solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol)
-    p_mat = np.block(
-        [[np.eye(k), -l], [np.zeros((n - k, k)), np.eye(n - k)]]
-    ) @ oq.u
-    q_mat = oq.v @ np.block(
-        [[np.eye(k), r], [np.zeros((n - k, k)), np.eye(n - k)]]
-    )
+    r, l = solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol)
+    # P = [[I, -L], [0, I]] U and Q = V [[I, R], [0, I]]
+    p_mat, q_mat = oq.u.copy(), oq.v.copy()
+    p_mat[:k] -= l @ oq.u[k:]
+    q_mat[:, k:] += oq.v[:, :k] @ r
     return oq, p_mat, q_mat
 
 
@@ -439,65 +415,50 @@ def _block_split(s: DescriptorSystem, lead, tol: float):
 
 @dataclass(frozen=True)
 class WeierstrassSplit:
-    """Decoupled slow/fast form of a regular pencil system.
+    """A transfer function split at infinity: G(s) = F(s) + sum_{i>=1} s^i T_i.
 
-    The transfer function satisfies
-    G(s) = c_j (sI - j)^{-1} b_j + d - sum_{i<nu} s^i c_n nil^i b_n,
-    where ``j`` carries the finite spectrum and ``nil`` is nilpotent with
-    index ``nu``.
+    ``finite`` realizes F: the finite eigenvalues (regular E) with
+    feedthrough T_0. ``coefficients`` is the (l, p, m) array of
+    T_0, ..., T_{l-1} with trailing negligible coefficients trimmed; l > 1
+    means G is improper.
     """
 
-    j: np.ndarray
-    b_j: np.ndarray
-    c_j: np.ndarray
-    nil: np.ndarray
-    b_n: np.ndarray
-    c_n: np.ndarray
-    d: np.ndarray
-    nu: int
+    finite: DescriptorSystem
+    coefficients: np.ndarray
 
 
 def weierstrass_split(s: DescriptorSystem, tol: float | None = None) -> WeierstrassSplit:
-    """Split a system into its finite (standard) and infinite (nilpotent) parts."""
+    """Split a system into its finite part and the polynomial part of its infinite one.
+
+    The stored form leads with the finite pairs, so one Sylvester solve
+    decouples the infinite block (T, S) and nothing is reordered. There
+    (sT - S)^{-1} = -S^{-1} sum_i s^i N^i with N = T S^{-1} strictly upper
+    triangular, nilpotent exactly, so T_i = -C S^{-1} N^i B (plus D for
+    i = 0) takes triangular solves only. A system without infinite
+    eigenvalues is its own finite part.
+    """
     tol = default_tol(tol)
-    oq, p_mat, q_mat = _block_split(s, lambda lam, infinite: ~infinite, tol)
-    k = oq.split
-    n = s.n
-    e1, e3 = oq.et[:k, :k], oq.et[k:, k:]
-    a1, a3 = oq.at[:k, :k], oq.at[k:, k:]
-    # Scale the decoupled blocks: the finite block gets identity E, the
-    # infinite block identity A.
-    if k > 0:
-        p_top = scipy.linalg.solve(e1, p_mat[:k, :])
-        j = scipy.linalg.solve(e1, a1)
-    else:
-        p_top = p_mat[:k, :]
-        j = np.zeros((0, 0))
-    if n - k > 0:
-        q_right = scipy.linalg.solve(a3.T, q_mat[:, k:].T).T
-        nil = scipy.linalg.solve(a3.T, e3.T).T
-    else:
-        q_right = q_mat[:, k:]
-        nil = np.zeros((0, 0))
-
-    b_all = np.vstack([p_top @ s.b, p_mat[k:, :] @ s.b])
-    c_all = np.hstack([s.c @ q_mat[:, :k], s.c @ q_right])
-    b_j, b_n = b_all[:k, :], b_all[k:, :]
-    c_j, c_n = c_all[:, :k], c_all[:, k:]
-
-    size = n - k
-    nu = 1
-    if size > 0:
-        power = nil.copy()
-        nu = size
-        for i in range(1, size + 1):
-            if fro(power) <= tol * max(1.0, fro(nil)):
-                nu = i
-                break
-            power = power @ nil
-    return WeierstrassSplit(
-        j=j, b_j=b_j, c_j=c_j, nil=nil, b_n=b_n, c_n=c_n, d=s.d.copy(), nu=nu
-    )
+    k = s._schur.split
+    if k == s.n:
+        return WeierstrassSplit(finite=s, coefficients=s.d[None, :, :].copy())
+    oq, p_mat, q_mat = _block_split(s, np.arange(s.n) < k, tol)
+    b_t = p_mat @ s.b
+    c_t = s.c @ q_mat
+    t_inf, s_inf, c_inf = oq.et[k:, k:], oq.at[k:, k:], c_t[:, k:]
+    terms, scales = [], []
+    y = b_t[k:]
+    for _ in range(s.n - k):
+        z = scipy.linalg.solve_triangular(s_inf, y)
+        terms.append(-(c_inf @ z))
+        scales.append(fro(c_inf) * fro(z))
+        y = t_inf @ z
+    coeffs = [s.d + terms[0], *terms[1:]]
+    # Trim trailing coefficients that vanish relative to their own
+    # construction scale (products of already-computed factors).
+    while len(coeffs) > 1 and fro(coeffs[-1]) <= tol * (1.0 + scales[len(coeffs) - 1]):
+        coeffs.pop()
+    finite = _diagonal_block(oq, 0, k, b_t[:k], c_t[:, :k], coeffs[0])
+    return WeierstrassSplit(finite=finite, coefficients=np.stack(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +467,12 @@ def weierstrass_split(s: DescriptorSystem, tol: float | None = None) -> Weierstr
 
 @dataclass(frozen=True)
 class AdditiveDecomposition:
-    """Stable/antistable splitting S ~ s_plus + s_minus.
+    """Stable/antistable splitting S ~ s_minus + s_plus.
 
     ``s_plus`` carries the full feedthrough and any infinite eigenvalues;
     ``s_minus`` has regular E, zero feedthrough, and spectrum in Re > 0.
     ``p`` and ``q`` are the equivalence transforms: (P E Q, P A Q, P B, C Q, D)
-    equals s_plus (+) s_minus block for block.
+    equals s_minus (+) s_plus block for block.
     """
 
     s_plus: DescriptorSystem
@@ -525,7 +486,8 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
 
     The transfer functions add: G = G_plus + G_minus on the whole axis.
     Raises AxisEigenvalue (with the offending eigenvalue) when the pencil
-    spectrum touches the tolerance band around the imaginary axis.
+    spectrum touches the tolerance band around the imaginary axis. The
+    antistable pairs are moved first, so the infinite ones never swap.
     """
     tol = default_tol(tol)
     rep = pencil_spectrum(s, tol)
@@ -544,14 +506,14 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
             s_plus=empty_system(s.m, s.p, s.d), s_minus=s_minus, p=eye, q=eye.copy()
         )
 
-    oq, p_mat, q_mat = _block_split(
-        s, lambda lam, infinite: infinite | (lam.real < 0.0), tol
-    )
-    k = oq.split
+    lam, infinite = _classify(s._schur)
+    anti = ~infinite & (lam.real > 0.0)
+    k = int(np.count_nonzero(anti))
+    oq, p_mat, q_mat = _block_split(s, anti, tol)
     b_t = p_mat @ s.b
     c_t = s.c @ q_mat
-    s_plus = _diagonal_block(oq, 0, k, b_t[:k, :], c_t[:, :k], s.d)
-    s_minus = _diagonal_block(oq, k, s.n, b_t[k:, :], c_t[:, k:], np.zeros((s.p, s.m)))
+    s_minus = _diagonal_block(oq, 0, k, b_t[:k, :], c_t[:, :k], np.zeros((s.p, s.m)))
+    s_plus = _diagonal_block(oq, k, s.n, b_t[k:, :], c_t[:, k:], s.d)
     # The split routed eigenvalues; reclassify to catch borderline drift.
     if pencil_spectrum(s_plus, tol).stability_class is not StabilityClass.STABLE:
         raise SpectrumViolation("separated slow part failed the stability check")

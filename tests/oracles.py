@@ -8,6 +8,10 @@ dense Kronecker solves. The random fixtures build their systems through the
 public constructor. ``response_at_infinity`` is a convenience over the
 library's ``transfer_polynomial_part``, not an independent oracle.
 
+``perfbench_modules`` imports the benchmark's seeded models and its
+correctness gate from ``perfbench/`` as they are, so tests can replay
+benchmark cases and judge them by the same checks.
+
 The balanced-coordinates construction (``glover_oracle``, on top of
 ``balanced_realization``) is the classical route to the optimal L-infinity
 approximant. It shares only the Gramians with the library's balance-free
@@ -18,7 +22,9 @@ singular reduction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -197,6 +203,29 @@ def gramians_kron(s):
     xc = np.linalg.solve(k_c, -(b @ b.T).ravel(order="F"))
     xo = np.linalg.solve(k_o, -(c.T @ c).ravel(order="F"))
     return xc.reshape((n, n), order="F"), xo.reshape((n, n), order="F")
+
+
+def hankel_sigma1_standard(a, b, c):
+    """sigma_1 of the antistable standard triple (A, B, C), from SciPy's Lyapunov
+    solver on the stable mirror (-A, B, -C)."""
+    p = scipy.linalg.solve_continuous_lyapunov(-a, -b @ b.T)
+    q = scipy.linalg.solve_continuous_lyapunov(-a.T, -c.T @ c)
+    return math.sqrt(max(np.linalg.eigvals(p @ q).real))
+
+
+def perfbench_modules():
+    """The benchmark's ``models`` and ``gate`` modules, imported unchanged.
+
+    The gate imports ``models`` by its bare name, so ``perfbench/`` goes on
+    the import path.
+    """
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import gate
+    import models
+
+    return models, gate
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ def test_criterion_1_scalar_nehari_cli(tmp_path):
 def test_criterion_2_singular_branch():
     res = solve_apinf(ROTATE2)
     assert res.branch is Branch.SINGULAR_SVD
-    assert res.system.n == 1
+    # n - multiplicity = 0 states: the approximant is the constant -1
+    assert res.system.n == 0
     for w in np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 9)]):
         assert_allclose(eval_transfer_np(res.system, 1j * w), [[-1.0]], atol=1e-6)
     grid = linf_error(ROTATE2, res.system)

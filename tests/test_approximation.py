@@ -463,7 +463,7 @@ def test_apinf_validates_gamma_factor():
 def test_apinf_rotate2_takes_singular_branch():
     res = solve_apinf(ROTATE2)
     assert res.branch is Branch.SINGULAR_SVD
-    assert res.system.n == 1
+    assert res.system.n == 0
     for z in axis_points():
         assert_allclose(eval_transfer_np(res.system, z), [[-1.0]], atol=1e-10)
     grid = linf_error(ROTATE2, res.system)

@@ -27,6 +27,7 @@ from stablekit.util import EPS
 
 from oracles import (
     assert_eigen_multisets_close,
+    bumped_descriptor_system,
     pencil_eigenvalues_np,
     random_antistable_tri,
     random_regular,
@@ -45,44 +46,53 @@ def assert_orthogonal(x):
 # ---------------------------------------------------------------------------
 # Block splits: the stored QZ form reordered by a mask of its classified diagonal
 
-STABLE_OR_INFINITE = lambda lam, infinite: infinite | (lam.real < 0.0)  # noqa: E731
+STABLE = lambda lam, infinite: ~infinite & (lam.real < 0.0)  # noqa: E731
 ANTISTABLE_FINITE = lambda lam, infinite: ~infinite & (lam.real > 0.0)  # noqa: E731
 FINITE = lambda lam, infinite: ~infinite  # noqa: E731
 
 
+def block_split(s, lead):
+    """``_block_split`` of ``s`` by the mask ``lead`` picks on its stored diagonal,
+    plus the size of the leading block."""
+    mask = lead(*systems._classify(s._schur))
+    return (*systems._block_split(s, mask, 1e-10), int(np.count_nonzero(mask)))
+
+
 def ordered(e, a, lead):
-    """The reordered Schur form ``_block_split`` computes for the pencil (E, A)."""
+    """The reordered Schur form of the pencil (E, A) and its leading block size."""
     n = np.shape(e)[0]
     s = DescriptorSystem(e, a, np.ones((n, 1)), np.ones((1, n)))
-    return systems._block_split(s, lead, 1e-10)[0]
+    oq, _, _, k = block_split(s, lead)
+    return oq, k
 
 
 def test_qz_diagonal_already_ordered():
     e = np.eye(2)
     a = np.diag([-1.0, 2.0])
-    res = ordered(e, a, STABLE_OR_INFINITE)
-    assert res.split == 1
+    res, k = ordered(e, a, STABLE)
+    assert k == 1
     # leading pair encodes eigenvalue -1, trailing encodes 2
     assert_allclose(res.at[0, 0] / res.et[0, 0], -1.0, atol=1e-12)
     assert_allclose(res.at[1, 1] / res.et[1, 1], 2.0, atol=1e-12)
 
 
-def test_qz_infinite_eigenvalue_selected_leading():
-    # det(lambda*E - A) = -(lambda - 1): spectrum {1, infinity}
-    e = np.diag([1.0, 0.0])
-    a = np.eye(2)
-    res = ordered(e, a, STABLE_OR_INFINITE)
-    assert res.split == 1
-    # leading diagonal of Et is (numerically) zero: the infinite eigenvalue
-    assert abs(res.et[0, 0]) <= 1e-12
-    assert_allclose(res.at[1, 1] / res.et[1, 1], 1.0, atol=1e-12)
+def test_qz_infinite_eigenvalue_stays_trailing():
+    # spectrum {2, infinity, -1}; the antistable pair moves first, past the
+    # stable one, and the infinite pair stays last with beta exactly 0
+    e = np.diag([1.0, 0.0, 1.0])
+    a = np.diag([-1.0, 1.0, 2.0])
+    res, k = ordered(e, a, ANTISTABLE_FINITE)
+    assert k == 1 and res.split == 2
+    assert_allclose(res.at[0, 0] / res.et[0, 0], 2.0, atol=1e-12)
+    assert_allclose(res.at[1, 1] / res.et[1, 1], -1.0, atol=1e-12)
+    assert res.et[2, 2] == 0.0 and res.beta[2] == 0.0
 
 
 def test_qz_upper_triangular_mixed():
     e = np.eye(2)
     a = np.array([[-1.0, 3.0], [0.0, 2.0]])
-    res = ordered(e, a, STABLE_OR_INFINITE)
-    assert res.split == 1
+    res, k = ordered(e, a, STABLE)
+    assert k == 1
     assert_allclose(res.at[0, 0] / res.et[0, 0], -1.0, atol=1e-12)
     assert_allclose(res.at[1, 1] / res.et[1, 1], 2.0, atol=1e-12)
 
@@ -102,8 +112,8 @@ def test_qz_reconstruction_orthogonality_and_split_property():
             e = (u * sing) @ v
         else:
             e = np.eye(n)
-        lead = STABLE_OR_INFINITE if trial % 2 else ANTISTABLE_FINITE
-        res = ordered(e, a, lead)
+        lead = STABLE if trial % 2 else ANTISTABLE_FINITE
+        res, k = ordered(e, a, lead)
         assert_orthogonal(res.u)
         assert_orthogonal(res.v)
         assert np.linalg.norm(res.u @ e @ res.v - res.et) <= 1e-10 * (
@@ -130,14 +140,13 @@ def test_qz_reconstruction_orthogonality_and_split_property():
             return lead(lam, infinite)
 
         # split: the leading block carries exactly the picked eigenvalues
-        k = res.split
         assert picked(slice(0, k)).all()
         assert not picked(slice(k, n)).any()
 
 
 def test_qz_rejects_dimension_mismatch():
     with pytest.raises((SingularPencil, DimensionMismatch)):
-        ordered(np.eye(2), np.eye(3), STABLE_OR_INFINITE)
+        ordered(np.eye(2), np.eye(3), STABLE)
 
 
 def test_qz_rejects_singular_pencil():
@@ -151,7 +160,9 @@ def test_failed_reorder_raises_convergence_failure(monkeypatch, tmp_path, capsys
     from stablekit.cli import main
     from stablekit.dsysio import save_dsys
 
-    s = random_unstable_system(8, 3, seed=5, m=2, p=2)
+    # QZ leaves two stable pairs ahead of antistable ones here, so the
+    # additive split must reorder
+    s = random_unstable_system(8, 3, seed=6, m=2, p=2)
     path = tmp_path / "s.dsys"
     save_dsys(path, s)
     tgsen = scipy.linalg.lapack.dtgsen
@@ -162,9 +173,10 @@ def test_failed_reorder_raises_convergence_failure(monkeypatch, tmp_path, capsys
 
     monkeypatch.setattr(scipy.linalg.lapack, "dtgsen", ill_conditioned_swap)
     with pytest.raises(ConvergenceFailure):
-        weierstrass_split(s)
-    with pytest.raises(ConvergenceFailure):
         additive_decompose(s)
+    # the stored form already leads with the finite pairs, so the
+    # Weierstrass split of an improper model reorders nothing
+    assert weierstrass_split(bumped_descriptor_system(5)).coefficients.shape[0] == 2
     assert main(["approx", str(path), "--norm", "h2", "-o", str(tmp_path / "out.dsys")]) == 1
     assert "reordering the generalized Schur form failed" in capsys.readouterr().err
 
@@ -277,15 +289,14 @@ def assert_sylvester_residuals(a1, a3, e1, e3, a2, e2, r, l):
 
 
 def split_blocks(s, lead):
-    oq = systems._block_split(s, lead, 1e-10)[0]
-    k = oq.split
+    oq, _, _, k = block_split(s, lead)
     et, at = oq.et, oq.at
     return at[:k, :k], at[k:, k:], et[:k, :k], et[k:, k:], at[:k, k:], et[:k, k:]
 
 
 def test_sylvester_on_qz_blocks_factors_nothing(monkeypatch):
     s = random_unstable_system(60, 30, seed=41, m=2, p=2, descriptor=True)
-    blocks = split_blocks(s, STABLE_OR_INFINITE)
+    blocks = split_blocks(s, STABLE)
     a1, a3 = blocks[0], blocks[1]
     assert a1.shape == (30, 30) and a3.shape == (30, 30)
     # both diagonal blocks carry complex pairs: 2x2 bumps on the subdiagonal
@@ -341,7 +352,7 @@ def test_sylvester_memory_stays_small():
     # dense k = l = 60 blocks: QZ blocks of a seeded pencil, mixed by random
     # orthogonal factors so that both reductions run
     s = random_unstable_system(120, 60, seed=53, m=2, p=2, descriptor=True)
-    a1, a3, e1, e3, a2, e2 = split_blocks(s, STABLE_OR_INFINITE)
+    a1, a3, e1, e3, a2, e2 = split_blocks(s, STABLE)
     rng = np.random.default_rng(53)
     u1, v1, u3, v3 = (random_regular(rng, 60, spread=(1.0, 1.0)) for _ in range(4))
     a1, e1 = u1 @ a1 @ v1, u1 @ e1 @ v1

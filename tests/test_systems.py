@@ -1,6 +1,5 @@
 """Descriptor-system model, spectra, transfer evaluation, and decomposition."""
 
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -316,9 +315,9 @@ def test_rse_rejects_singular_transform():
 def test_weierstrass_standard_form_has_no_nilpotent_part():
     s = random_unstable_system(4, 2, seed=6)
     ws = weierstrass_split(s)
-    assert ws.j.shape == (4, 4)
-    assert ws.nil.shape == (0, 0)
-    assert ws.nu == 1
+    assert ws.finite is s
+    assert ws.coefficients.shape == (1, 1, 1)
+    assert_allclose(ws.coefficients[0], s.d, atol=0.0)
 
 
 def test_weierstrass_pure_polynomial_transfer():
@@ -326,9 +325,10 @@ def test_weierstrass_pure_polynomial_transfer():
     ws = weierstrass_split(s)
     for z in (0.0, 1.0j, 3.0 - 1.0j):
         assert_allclose(transfer_eval(s, z), [[-1.0]], atol=1e-12)
-    # polynomial part alone: D - C_N B_N = -1
-    poly0 = ws.d - ws.c_n @ ws.b_n
-    assert_allclose(poly0, [[-1.0]], atol=1e-12)
+        # the finite part carries the constant T_0 = D - C_inf S_inf^{-1} B_inf
+        assert_allclose(transfer_eval(ws.finite, z), [[-1.0]], atol=1e-12)
+    assert_allclose(ws.coefficients, [[[-1.0]]], atol=1e-12)
+    assert ws.finite.n == 1
 
 
 def test_weierstrass_reconstruction_property():
@@ -349,32 +349,22 @@ def test_weierstrass_reconstruction_property():
         ) @ v
         sd = DescriptorSystem(e, a, rng.standard_normal((n, 1)), rng.standard_normal((1, n)))
         ws = weierstrass_split(sd)
-        # nilpotency index: N^nu vanishes, N^(nu-1) does not
-        nil = ws.nil
-        if nil.shape[0]:
-            power = np.linalg.matrix_power(nil, ws.nu)
-            assert np.linalg.norm(power) <= 1e-10 * max(1.0, np.linalg.norm(nil))
-            if ws.nu > 1:
-                prev = np.linalg.matrix_power(nil, ws.nu - 1)
-                assert np.linalg.norm(prev) > 1e-10 * max(1.0, np.linalg.norm(nil))
-        # finite spectrum carried by J
+        # index 1: the infinite part contributes a constant only
+        assert ws.coefficients.shape[0] == 1
+        # finite spectrum carried by the finite part, whose E is regular
+        fin = pencil_spectrum(ws.finite)
+        assert fin.n_infinite == 0 and ws.finite.n == k
         assert_eigen_multisets_close(
-            np.linalg.eigvals(ws.j), pencil_spectrum(sd).finite_eigenvalues, tol=1e-7
+            fin.finite_eigenvalues, pencil_spectrum(sd).finite_eigenvalues, tol=1e-7
         )
         # transfer reconstruction at random points
         for _ in range(10):
             z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-            eigs = np.linalg.eigvals(ws.j)
-            if np.min(np.abs(eigs - z)) < 0.2:
+            if np.min(np.abs(fin.finite_eigenvalues - z)) < 0.2:
                 continue
-            kj = ws.j.shape[0]
-            val = ws.d.astype(complex).copy()
-            if kj:
-                val += ws.c_j @ np.linalg.solve(z * np.eye(kj) - ws.j, ws.b_j)
-            npart = np.zeros_like(val)
-            for i in range(ws.nu):
-                npart += z**i * (ws.c_n @ np.linalg.matrix_power(nil, i) @ ws.b_n)
-            val -= npart
+            val = eval_transfer_np(ws.finite, z)
+            for i in range(1, ws.coefficients.shape[0]):
+                val = val + z**i * ws.coefficients[i]
             ref = eval_transfer_np(sd, z)
             assert np.linalg.norm(val - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
 
@@ -531,10 +521,12 @@ def test_error_norms_factor_nothing_after_solve(monkeypatch):
 
 
 def assert_schur_form(s):
-    """The stored form of ``s`` is a real generalized Schur form of (E, A)."""
+    """The stored form of ``s`` is a real generalized Schur form of (E, A),
+    laid out [finite | infinite]."""
     f = s._schur
     n = s.n
-    assert f.split == 0
+    k = f.split
+    assert 0 <= k <= n
     assert f.u.shape == f.v.shape == f.et.shape == f.at.shape == (n, n)
     assert f.alpha.shape == f.beta.shape == (n,)
     if n == 0:
@@ -548,15 +540,21 @@ def assert_schur_form(s):
     assert not np.tril(f.at, -2).any()
     sub = np.diagonal(f.at, -1) != 0.0
     assert not (sub[1:] & sub[:-1]).any()
-    k = 0
-    while k < n:
-        if k + 1 < n and sub[k]:
-            lam = scipy.linalg.eigvals(f.at[k : k + 2, k : k + 2], f.et[k : k + 2, k : k + 2])
-            assert_eigen_multisets_close(f.alpha[k : k + 2] / f.beta[k : k + 2], lam, tol=1e-10)
-            k += 2
+    # the infinite pairs trail every finite one: beta exactly 0, T strictly
+    # and S upper triangular there, and nothing else has beta 0
+    assert f.beta[:k].all() and not f.beta[k:].any()
+    assert not np.tril(f.et[k:, k:]).any()
+    assert not sub[k - 1 if k else 0 :].any()
+    assert pencil_spectrum(s).n_infinite == n - k
+    j = 0
+    while j < n:
+        if j + 1 < n and sub[j]:
+            lam = scipy.linalg.eigvals(f.at[j : j + 2, j : j + 2], f.et[j : j + 2, j : j + 2])
+            assert_eigen_multisets_close(f.alpha[j : j + 2] / f.beta[j : j + 2], lam, tol=1e-10)
+            j += 2
         else:
-            assert f.alpha[k] == f.at[k, k] and f.beta[k] == f.et[k, k]
-            k += 1
+            assert f.alpha[j] == f.at[j, j] and f.beta[j] == f.et[j, j]
+            j += 1
 
 
 @pytest.mark.parametrize("seed", [3, 7])
@@ -566,12 +564,16 @@ def test_stored_schur_form_on_every_construction_path(seed):
     assert pencil_spectrum(s).n_infinite == 2
     dec = additive_decompose(s)
     anti = random_antistable_system(5, seed=seed, m=2, p=2)
+    r = solve_apinf(s)
     paths = {
         "public constructor": s,
         "stable block": dec.s_plus,
         "antistable block": dec.s_minus,
         "direct sum": direct_sum(dec.s_plus, dec.s_minus),
         "error system": direct_sum(s, negate_output(s)),
+        "Weierstrass finite part": weierstrass_split(s).finite,
+        "approximant": r.system,
+        "approximant error system": r.error_system,
         "negate_output": negate_output(s),
         "antistable early return": additive_decompose(anti).s_minus,
         "mirror": systems._mirror(s),
@@ -583,7 +585,7 @@ def test_stored_schur_form_on_every_construction_path(seed):
     assert dec.s_plus.n == 8 and dec.s_minus.n == 6
 
 
-STABLE_OR_INFINITE = lambda lam, infinite: infinite | (lam.real < 0.0)  # noqa: E731
+ANTISTABLE = lambda lam, infinite: ~infinite & (lam.real > 0.0)  # noqa: E731
 FINITE = lambda lam, infinite: ~infinite  # noqa: E731
 
 
@@ -592,26 +594,26 @@ def test_block_split_reorders_the_stored_form(seed):
     s = bumped_descriptor_system(seed)
     dec = additive_decompose(s)
     ws = weierstrass_split(s)
-    for lead, size in ((STABLE_OR_INFINITE, dec.s_plus.n), (FINITE, ws.j.shape[0])):
-        oq, p_mat, q_mat = systems._block_split(s, lead, 1e-10)
-        form = dataclasses.replace(oq, split=0)
-        assert_schur_form(systems._known_spectrum(s.e, s.a, s.b, s.c, s.d, form))
-        # the split counts the mask on the reordered diagonal, and the
-        # public splits take their blocks from it
-        picked = lead(*systems._classify(oq.alpha, oq.beta, s.e, s.a, 1e-10))
-        k = oq.split
+    for lead, size in ((ANTISTABLE, dec.s_minus.n), (FINITE, ws.finite.n)):
+        mask = lead(*systems._classify(s._schur))
+        oq, p_mat, q_mat = systems._block_split(s, mask, 1e-10)
+        assert_schur_form(systems._known_spectrum(s.e, s.a, s.b, s.c, s.d, oq))
+        # the picked pairs lead the reordered diagonal, and the public
+        # splits take their blocks from it
+        picked = lead(*systems._classify(oq))
+        k = int(np.count_nonzero(mask))
         assert picked[:k].all() and not picked[k:].any()
         assert k == size
         for m in (p_mat @ s.e @ q_mat, p_mat @ s.a @ q_mat):
             assert np.linalg.norm(m[:k, k:]) <= 1e-10 * np.linalg.norm(m)
 
 
-def test_split_counts_the_reordered_diagonal():
-    # QZ returns this model's index-2 pair with |beta| near sqrt(eps), above
-    # the infinite-eigenvalue threshold; the tgsen swaps bring it below. The
-    # split counts the reordered diagonal, so the pair joins the stable part
-    # instead of failing the antistability check of the trailing block.
+def test_index2_pair_is_infinite_before_any_swap():
+    # QZ of the whole pencil returns this model's index-2 pair with |beta|
+    # near sqrt(eps); the rank decisions at construction read it as infinite
+    # instead, so it joins the stable part and the antistable part is exact.
     s = bumped_descriptor_system(9, n=10, n_unstable=4)
+    assert pencil_spectrum(s).n_infinite == 2
     dec = additive_decompose(s)
     assert (dec.s_plus.n, dec.s_minus.n) == (8, 4)
     assert pencil_spectrum(dec.s_plus).n_infinite == 2
@@ -627,21 +629,20 @@ def test_one_classifier_decides_every_split(monkeypatch):
 
     def counts():
         rep = pencil_spectrum(s)
-        return rep.n_infinite, additive_decompose(s).s_plus.n, weierstrass_split(s).nil.shape[0]
+        return rep.n_infinite, additive_decompose(s).s_plus.n, weierstrass_split(s).finite.n
 
-    assert counts() == (0, 2, 0)
+    assert counts() == (0, 2, 4)
     classify = systems._classify
 
-    def flip_five(alpha, beta, e, a, tol):
-        lam, infinite = classify(alpha, beta, e, a, tol)
-        flip = np.abs(lam - 5.0) <= 1e-8
-        return np.where(flip, np.inf, lam), infinite | flip
+    def mirror_five(form):
+        lam, infinite = classify(form)
+        return np.where(np.abs(lam - 5.0) <= 1e-8, -5.0, lam), infinite
 
-    # reading the pole at 5 as infinite moves it out of the finite spectrum,
-    # into the stable part and into the infinite block, all at once
-    monkeypatch.setattr(systems, "_classify", flip_five)
-    assert counts() == (1, 3, 1)
-    assert_eigen_multisets_close(pencil_spectrum(s).finite_eigenvalues, [-2.0, -1.0, 3.0])
+    # reading the pole at 5 as -5 moves it into the stable part and out of
+    # the antistable one, all at once
+    monkeypatch.setattr(systems, "_classify", mirror_five)
+    assert counts() == (0, 3, 4)
+    assert_eigen_multisets_close(pencil_spectrum(s).finite_eigenvalues, [-5.0, -2.0, -1.0, 3.0])
     dec = additive_decompose(s)
     for w in (0.0, 0.7, 4.0):
         g = eval_transfer_np(s, 1j * w)
