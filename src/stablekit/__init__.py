@@ -53,7 +53,7 @@ from .kernels import (
     solve_generalized_sylvester,
     svd,
 )
-from .synth import random_antistable_system, random_orthogonal, random_unstable_system
+from .synth import random_orthogonal, random_unstable_system
 from .systems import (
     AdditiveDecomposition,
     DescriptorSystem,

@@ -57,7 +57,11 @@ def _input_summary(s: DescriptorSystem, tol: float | None) -> dict:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    # One line, by the C encoder: an indented dump runs the pure-Python
+    # encoder, whose nested closures are a reference cycle left for the
+    # cycle collector, which then runs at moments that depend on the
+    # string hash seed.
+    print(json.dumps(report))
 
 
 def _error_norms(original: DescriptorSystem, approx: DescriptorSystem, tol):

@@ -16,7 +16,6 @@ from .systems import DescriptorSystem, direct_sum, rse_transform
 __all__ = [
     "random_orthogonal",
     "random_unstable_system",
-    "random_antistable_system",
 ]
 
 
@@ -102,12 +101,3 @@ def random_unstable_system(
     v = random_orthogonal(rng, n)
     w = (u * rng.uniform(0.6, 1.6, size=n)) @ v.T
     return rse_transform(w, mixed, np.eye(n))
-
-
-def random_antistable_system(n: int, seed, m: int = 1, p: int = 1) -> DescriptorSystem:
-    """Random standard antistable system (all eigenvalue real parts in [0.1, 5])."""
-    rng = _as_rng(seed)
-    a = _spectrum_block(rng, n, 0.1, 5.0)
-    s0 = _random_standard(rng, a, m, p)
-    t = random_orthogonal(rng, n)
-    return _orthogonal_mix(t, s0)

@@ -7,10 +7,12 @@ G(s) = C (sE - A)^{-1} B + D. E may be singular as long as the pencil
 Every system keeps the generalized Schur form of (E, A) from its
 construction, laid out as [finite | infinite]: which pairs are infinite is
 decided there, once, by rank decisions on E, and every form built from it
-keeps that layout. ``_classify`` reads the layout and the finite
-eigenvalues from the stored diagonal: the spectrum report reads it, and the
-additive decomposition reorders the finite pairs by a mask computed from
-it. The Weierstrass split needs no reordering at all.
+keeps that layout. For a standard system (E exactly I) that form is one
+real Schur form of A, with T = I; every reader takes it as it takes a QZ
+form. ``_classify`` reads the layout and the finite eigenvalues from the
+stored diagonal: the spectrum report reads it, and the additive
+decomposition reorders the finite pairs by a mask computed from it. The
+Weierstrass split needs no reordering at all.
 """
 
 from __future__ import annotations

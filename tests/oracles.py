@@ -40,7 +40,14 @@ from stablekit import (
     transfer_polynomial_part,
 )
 from stablekit.gramians import _MULTIPLICITY_RTOL as MULTIPLICITY_RTOL
-from stablekit.synth import random_unstable_system
+from stablekit.synth import (
+    _as_rng,
+    _orthogonal_mix,
+    _random_standard,
+    _spectrum_block,
+    random_orthogonal,
+    random_unstable_system,
+)
 from stablekit.util import default_tol
 
 # ---------------------------------------------------------------------------
@@ -253,6 +260,14 @@ def bumped_descriptor_system(seed, n=12, n_unstable=6):
     u, _ = np.linalg.qr(rng.standard_normal((n + 2, n + 2)))
     v, _ = np.linalg.qr(rng.standard_normal((n + 2, n + 2)))
     return DescriptorSystem(u @ e0 @ v, u @ a0 @ v, u @ b0, c0 @ v)
+
+
+def random_antistable_system(n, seed, m=1, p=1):
+    """Random standard antistable system (all eigenvalue real parts in [0.1, 5])."""
+    rng = _as_rng(seed)
+    a = _spectrum_block(rng, n, 0.1, 5.0)
+    s0 = _random_standard(rng, a, m, p)
+    return _orthogonal_mix(random_orthogonal(rng, n), s0)
 
 
 def random_antistable_tri(rng, n, lo=0.2, hi=3.0):

@@ -30,13 +30,14 @@ from stablekit import (
     solve_apinf,
 )
 from stablekit.kernels import solve_generalized_sylvester
-from stablekit.synth import random_antistable_system, random_unstable_system
+from stablekit.synth import random_unstable_system
 
 from oracles import (
     NotMinimal,
     eval_transfer_np,
     glover_oracle,
     quad_l2_diff,
+    random_antistable_system,
     random_antistable_tri,
     random_regular,
     response_at_infinity,

@@ -24,7 +24,7 @@ from stablekit import (
     solve_apinf,
     svd,
 )
-from stablekit.synth import random_antistable_system, random_orthogonal, random_unstable_system
+from stablekit.synth import random_orthogonal, random_unstable_system
 
 from oracles import (
     NotMinimal,
@@ -32,6 +32,7 @@ from oracles import (
     eval_transfer_np,
     glover_oracle,
     quad_l2_diff,
+    random_antistable_system,
     random_regular,
     response_at_infinity,
     transfer_eval,

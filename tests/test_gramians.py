@@ -29,7 +29,7 @@ from stablekit import (
     transfer_polynomial_part,
 )
 from stablekit.cli import main
-from stablekit.synth import random_antistable_system, random_unstable_system
+from stablekit.synth import random_unstable_system
 
 from oracles import (
     NotMinimal,
@@ -39,6 +39,7 @@ from oracles import (
     eval_transfer_np,
     gramians_kron,
     quad_l2_diff,
+    random_antistable_system,
     random_regular,
 )
 

@@ -1,5 +1,6 @@
 """DSYS parsing/serialization, CSV output, and the command-line interface."""
 
+import gc
 import importlib
 import json
 import subprocess
@@ -470,6 +471,28 @@ def run_main(capsys, *argv):
     capsys.readouterr()
     assert main([str(a) for a in argv]) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def test_cli_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # Garbage in a cycle is freed whenever the collector happens to run,
+    # inside whatever call is timed or traced at that moment.
+    src, out = tmp_path / "s.dsys", tmp_path / "approx.dsys"
+    calls = [
+        ["generate", "-n", 6, "-u", 2, "--seed", 3, "--descriptor", "-o", src],
+        ["approx", src, "--norm", "hinf", "-o", out],
+        ["approx", src, "--norm", "h2", "-o", out],
+        ["verify", src, out, "--norm", "hinf"],
+        ["freqresp", src, "--points", 5, "-o", tmp_path / "f.csv"],
+    ]
+    for argv in calls:
+        run_main(capsys, *argv)  # first calls fill caches
+        gc.collect()
+        gc.disable()
+        try:
+            run_main(capsys, *argv)
+            assert gc.collect() == 0, argv[0]
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("factor", [None, 1.01])

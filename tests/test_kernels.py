@@ -16,14 +16,18 @@ from stablekit import (
     SingularPencil,
     SpectrumViolation,
     additive_decompose,
+    frequency_response,
     gramians,
     pencil_eigendata,
-    solve_generalized_sylvester,
+    pencil_spectrum,
+    random_orthogonal,
     random_unstable_system,
+    solve_apinf,
+    solve_generalized_sylvester,
     svd,
     weierstrass_split,
 )
-from stablekit.util import EPS
+from stablekit.util import EPS, fro
 
 from oracles import (
     assert_eigen_multisets_close,
@@ -160,8 +164,8 @@ def test_failed_reorder_raises_convergence_failure(monkeypatch, tmp_path, capsys
     from stablekit.cli import main
     from stablekit.dsysio import save_dsys
 
-    # QZ leaves two stable pairs ahead of antistable ones here, so the
-    # additive split must reorder
+    # the stored form leaves two stable pairs ahead of antistable ones
+    # here, so the additive split must reorder
     s = random_unstable_system(8, 3, seed=6, m=2, p=2)
     path = tmp_path / "s.dsys"
     save_dsys(path, s)
@@ -482,6 +486,69 @@ def test_pencil_eigendata_matches_numpy_on_regular_e():
         form = pencil_eigendata(e, a)
         got = form.alpha / form.beta
         assert_eigen_multisets_close(got, pencil_eigenvalues_np(e, a), tol=1e-7)
+
+
+@pytest.mark.parametrize("n, u, seed", [(1, 1, 0), (9, 4, 1), (40, 2, 2), (80, 40, 3)])
+def test_identity_e_is_factored_by_one_real_schur_form(n, u, seed):
+    s = random_unstable_system(n, u, seed)
+    form = s._schur
+    assert np.array_equal(form.et, np.eye(n))
+    assert form.split == n and np.array_equal(form.beta, np.ones(n))
+    assert_orthogonal(form.u)
+    assert np.array_equal(form.v, form.u.T)
+    assert fro(form.u @ s.a @ form.v - form.at) <= 32 * n * EPS * fro(s.a)
+    # quasi-triangular, with exact zeros below the subdiagonal
+    assert not np.tril(form.at, -2).any()
+    assert not (form.at.diagonal(-1)[1:] * form.at.diagonal(-1)[:-1]).any()
+    assert_eigen_multisets_close(form.alpha, np.linalg.eigvals(s.a), tol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "n, u, seed, factor", [(12, 3, 1, None), (20, 10, 2, None), (30, 2, 3, 1.01), (16, 8, 4, 1.01)]
+)
+def test_identity_e_and_qz_route_agree(n, u, seed, factor):
+    # (W, W A, W B, C) with orthogonal W realizes the same transfer, and QZ factors it
+    s = random_unstable_system(n, u, seed, m=2, p=2)
+    w = random_orthogonal(np.random.default_rng(seed + 100), n)
+    s_qz = DescriptorSystem(w, w @ s.a, w @ s.b, s.c, s.d)
+    assert not np.array_equal(s_qz._schur.et, np.eye(n))
+    assert_eigen_multisets_close(
+        pencil_spectrum(s).finite_eigenvalues, pencil_spectrum(s_qz).finite_eigenvalues, tol=1e-10
+    )
+    r, r_qz = solve_apinf(s, gamma_factor=factor), solve_apinf(s_qz, gamma_factor=factor)
+    assert r.sigma1 == pytest.approx(r_qz.sigma1, rel=1e-12)
+    assert r.system.n == r_qz.system.n
+    omegas = np.geomspace(1e-2, 1e2, 41)
+    g, g_qz = frequency_response(r.system, omegas), frequency_response(r_qz.system, omegas)
+    assert np.abs(g - g_qz).max() <= 1e-12 * np.abs(g).max()
+
+
+def test_identity_e_with_a_huge_a_keeps_the_staircase_decision():
+    # The E floor is 32 n eps (||E||_F + ||A||_F). With ||A||_F near 5e14 it
+    # exceeds 1, every singular value of I counts as zero, the rows of A
+    # dominate, and the staircase reads all four eigenvalues as infinite.
+    a = 1e14 * np.random.default_rng(4).standard_normal((4, 4))
+    floor = lambda a: 32 * 4 * EPS * (2.0 + fro(a))  # noqa: E731
+    assert floor(a) > 1.0 > floor(a / 100.0)
+    form = pencil_eigendata(np.eye(4), a)
+    assert form.split == 0 and not form.beta.any()
+    w = random_orthogonal(np.random.default_rng(5), 4)
+    assert pencil_eigendata(w, w @ a).split == 0
+    # with the floor below 1 the real Schur route runs: all four are finite
+    form = pencil_eigendata(np.eye(4), a / 100.0)
+    assert form.split == 4 and np.array_equal(form.et, np.eye(4))
+
+
+def test_failed_real_schur_raises_convergence_failure(monkeypatch):
+    gees = scipy.linalg.lapack.dgees
+
+    def no_convergence(*args, **kwargs):
+        *out, _ = gees(*args, **kwargs)
+        return (*out, 3)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees", no_convergence)
+    with pytest.raises(ConvergenceFailure, match="gees info 3"):
+        DescriptorSystem(np.eye(3), np.diag([1.0, -2.0, 3.0]), np.ones((3, 1)), np.ones((1, 3)))
 
 
 def test_pencil_eigendata_rejects_dimension_mismatch():

@@ -22,7 +22,7 @@ ROOT_EXPORTS = [
     "construct_gamma_system", "direct_sum", "empty_system", "frequency_response",
     "gramians", "h2_norm_antistable", "hankel_sigma_max", "linf_error", "linf_of",
     "load_dsys", "negate_output", "parse_dsys", "pencil_eigendata", "pencil_spectrum",
-    "random_antistable_system", "random_orthogonal", "random_unstable_system",
+    "random_orthogonal", "random_unstable_system",
     "reduce_singular_svd", "rl2_norm", "rse_transform",
     "save_dsys", "solve_ap2", "solve_apinf", "solve_generalized_sylvester", "svd",
     "transfer_polynomial_part", "weierstrass_split", "write_dsys",

@@ -31,13 +31,14 @@ from stablekit import (
     solve_apinf,
     weierstrass_split,
 )
-from stablekit.synth import random_antistable_system, random_unstable_system
+from stablekit.synth import random_unstable_system
 from stablekit.util import as_matrix
 
 from oracles import (
     assert_eigen_multisets_close,
     bumped_descriptor_system,
     eval_transfer_np,
+    random_antistable_system,
     random_regular,
     response_at_infinity,
     transfer_eval,
