@@ -11,7 +11,6 @@ from .approximation import (
     ApproxResult,
     Branch,
     GammaSystem,
-    RegularityVerdict,
     construct_gamma_system,
     reduce_singular_svd,
     solve_ap2,

@@ -19,7 +19,8 @@ part S_plus and an antistable part S_minus. Then:
   At gamma = sigma_1 the matrix A_gamma may be singular; then the system
   carries a removable non-dynamic part that one orthogonal transformation,
   taken from the SVD of A_gamma, eliminates, reducing the order below n
-  while preserving optimality.
+  while preserving optimality. One rule selects that step at every level:
+  reduce exactly when A_gamma's numeric rank is below n.
 
 Because G_hat = G_plus + G_hat_minus, the L-infinity error G - G_hat equals
 G_minus - G_hat_minus, which is sigma_1 times an all-pass at the optimum
@@ -63,7 +64,6 @@ from .util import default_tol, fro
 
 __all__ = [
     "Branch",
-    "RegularityVerdict",
     "GammaSystem",
     "ApproxResult",
     "solve_ap2",
@@ -79,36 +79,15 @@ class Branch(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RegularityVerdict:
-    """Numeric-rank verdict on the gamma-system A matrix.
-
-    ``is_regular`` holds when the smallest singular value exceeds
-    ``threshold = tol * largest_sv``. ``borderline`` flags a smallest
-    singular value within 10x of the threshold — near the regular/singular
-    boundary where the singular reduction is the backward-stable route.
-    """
-
-    is_regular: bool
-    rank: int
-    smallest_sv: float
-    largest_sv: float
-    threshold: float
-
-    @property
-    def borderline(self) -> bool:
-        return self.smallest_sv <= 10.0 * self.threshold
-
-
-@dataclass(frozen=True)
 class GammaSystem:
     """Balance-free approximant data at level gamma.
 
     Holds the raw matrices (the pencil may legitimately be singular at
     gamma = sigma_1, so no DescriptorSystem is formed here), the resolvent
-    matrix ``r_g``, the regularity verdict on ``a_g`` with the SVD it was
-    read from (``a_svd``, reused by the singular reduction), the sigma_1 it
-    was built against, and the source antistable system (whose feedthrough
-    the reduction reattaches).
+    matrix ``r_g``, the SVD of ``a_g`` with its numeric rank (``a_svd``,
+    which selects and performs the singular reduction), the sigma_1 it was
+    built against, and the source antistable system (whose feedthrough the
+    reduction reattaches).
     """
 
     e_g: np.ndarray
@@ -117,7 +96,6 @@ class GammaSystem:
     c_g: np.ndarray
     gamma: float
     r_g: np.ndarray
-    regular: RegularityVerdict
     a_svd: SvdResult
     sigma1: float
     source: DescriptorSystem
@@ -176,40 +154,28 @@ def solve_ap2(s: DescriptorSystem, tol: float | None = None) -> ApproxResult:
 
 
 # ---------------------------------------------------------------------------
-# Gamma system and regularity
-
-
-def _rank_verdict(res: SvdResult, tol: float) -> RegularityVerdict:
-    s = res.singular_values
-    largest = float(s[0]) if s.size else 0.0
-    smallest = float(s[-1]) if s.size else 0.0
-    threshold = tol * largest
-    return RegularityVerdict(
-        is_regular=bool(s.size) and smallest > threshold,
-        rank=res.numeric_rank,
-        smallest_sv=smallest,
-        largest_sv=largest,
-        threshold=threshold,
-    )
+# Gamma system
 
 
 def construct_gamma_system(
     s_minus: DescriptorSystem,
     gr: GramianPair,
     gamma: float,
+    sigma1: float,
     tol: float | None = None,
 ) -> GammaSystem:
     """Assemble the balance-free approximant matrices at level gamma.
 
-    Requires gamma >= sigma_1 (up to a 1e-12 relative slack); for
-    gamma > sigma_1 strictly the resulting A matrix is provably regular.
+    ``sigma1`` is the largest Hankel singular value of ``s_minus`` on the
+    Gramians ``gr`` (``hankel_sigma_max``). Requires gamma >= sigma_1 (up to
+    a 1e-12 relative slack); for gamma > sigma_1 strictly the resulting A
+    matrix is provably regular.
     """
     tol = default_tol(tol)
     gamma = float(gamma)
-    hank = hankel_sigma_max(s_minus, gr, tol)
-    if gamma < hank.sigma1 * (1.0 - 1e-12):
+    if gamma < sigma1 * (1.0 - 1e-12):
         raise GammaTooSmall(
-            f"gamma = {gamma:.12g} is below sigma_1 = {hank.sigma1:.12g}; "
+            f"gamma = {gamma:.12g} is below sigma_1 = {sigma1:.12g}; "
             "no stable approximation within that error exists"
         )
     e, a, b, c = s_minus.e, s_minus.a, s_minus.b, s_minus.c
@@ -226,9 +192,8 @@ def construct_gamma_system(
         c_g=c_g,
         gamma=gamma,
         r_g=r_g,
-        regular=_rank_verdict(a_svd, tol),
         a_svd=a_svd,
-        sigma1=hank.sigma1,
+        sigma1=sigma1,
         source=s_minus,
     )
 
@@ -246,17 +211,15 @@ def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> Descriptor
     rank; the same transformation provably zeroes the corresponding rows of
     E_gamma and B_gamma (verified here; StructureViolation otherwise).
     Returns the leading subsystem with the source feedthrough reattached.
-    Raises ValueError when A_gamma is cleanly regular.
+    Raises ValueError when A_gamma has full numeric rank.
     """
     tol = default_tol(tol)
-    verdict = gs.regular
-    if verdict.is_regular and not verdict.borderline:
+    rank = gs.a_svd.numeric_rank
+    if rank == gs.a_g.shape[0]:
         raise ValueError(
-            "gamma-system A matrix is cleanly regular (smallest singular value "
-            f"{verdict.smallest_sv:.3e} vs threshold {verdict.threshold:.3e}); "
+            f"gamma-system A matrix has full numeric rank {rank}; "
             "use the unreduced system directly"
         )
-    rank = gs.a_svd.numeric_rank
     if rank == 0:
         return empty_system(gs.b_g.shape[1], gs.c_g.shape[0], gs.source.d)
     u_t = gs.a_svd.u.T
@@ -292,12 +255,13 @@ def solve_apinf(
     With ``gamma_factor`` None the optimal level gamma = sigma_1 is used;
     otherwise gamma = gamma_factor * sigma_1 with gamma_factor > 1. The
     pipeline: decompose, Gramians, sigma_1, gamma system; take it directly
-    when its A matrix is cleanly regular, otherwise eliminate the
+    when its A matrix has full numeric rank, otherwise eliminate the
     non-dynamic part with ``reduce_singular_svd`` (standard and descriptor
-    E alike). Infinite eigenvalues left with a constant polynomial part fold
-    into the feedthrough (the ``weierstrass_split`` finite part), so the
-    antistable side keeps n - multiplicity states. Then reattach the stable
-    part.
+    E alike, at any level). Infinite eigenvalues left with a constant
+    polynomial part fold into the feedthrough (the ``weierstrass_split``
+    finite part), so the antistable side keeps n - multiplicity states.
+    Then reattach the stable part. The ``sigma1_multiplicity`` diagnostic
+    counts the antistable states these two steps removed.
     """
     tol = default_tol(tol)
     if gamma_factor is not None and not 1.0 < gamma_factor < math.inf:
@@ -317,24 +281,10 @@ def solve_apinf(
         )
 
     gr = gramians(dec.s_minus, tol)
-    hank = hankel_sigma_max(dec.s_minus, gr, tol)
-    sigma1 = hank.sigma1
+    sigma1 = hankel_sigma_max(dec.s_minus, gr, tol).sigma1
     gamma = sigma1 if gamma_factor is None else gamma_factor * sigma1
-    gs = construct_gamma_system(dec.s_minus, gr, gamma, tol)
-    verdict = gs.regular
-    diagnostics.update(
-        gramian_residual_c=gr.residual_c,
-        gramian_residual_o=gr.residual_o,
-        sigma1_multiplicity=hank.multiplicity_estimate,
-        regularity_smallest_sv=verdict.smallest_sv,
-        regularity_largest_sv=verdict.largest_sv,
-    )
-
-    if gamma_factor is None:
-        use_singular = (not verdict.is_regular) or verdict.borderline
-    else:
-        use_singular = not verdict.is_regular
-    if not use_singular:
+    gs = construct_gamma_system(dec.s_minus, gr, gamma, sigma1, tol)
+    if gs.a_svd.numeric_rank == dec.s_minus.n:
         approx_minus = DescriptorSystem(gs.e_g, gs.a_g, gs.b_g, gs.c_g, dec.s_minus.d)
         branch = Branch.REGULAR
     else:
@@ -343,6 +293,14 @@ def solve_apinf(
     ws = weierstrass_split(approx_minus, tol)
     if ws.coefficients.shape[0] == 1:
         approx_minus = ws.finite
+    sv = gs.a_svd.singular_values
+    diagnostics.update(
+        gramian_residual_c=gr.residual_c,
+        gramian_residual_o=gr.residual_o,
+        sigma1_multiplicity=dec.s_minus.n - approx_minus.n,
+        regularity_smallest_sv=float(sv[-1]),
+        regularity_largest_sv=float(sv[0]),
+    )
 
     system = direct_sum(dec.s_plus, approx_minus)
     rep = pencil_spectrum(system, tol)

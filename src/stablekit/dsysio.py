@@ -66,8 +66,9 @@ def parse_dsys(text: str) -> DescriptorSystem:
         lineno, content = next_line(f"block label {label}")
         if content != label:
             raise ParseError(f"expected block label {label!r}, found {content!r}", lineno)
+        # built from the rows read, so a header alone allocates nothing
         rows, cols = shapes[label]
-        data = np.zeros((rows, cols))
+        data = []
         if cols > 0:
             for i in range(rows):
                 lineno, content = next_line(f"row {i + 1} of block {label}")
@@ -88,8 +89,8 @@ def parse_dsys(text: str) -> DescriptorSystem:
                     raise ParseError(
                         f"block {label} row {i + 1} has a non-finite entry", lineno
                     )
-                data[i, :] = values
-        blocks[label] = data
+                data.append(values)
+        blocks[label] = np.array(data, dtype=np.float64).reshape(rows, cols)
     for lineno, content in lines:
         raise ParseError(f"unexpected trailing content {content!r}", lineno)
     return DescriptorSystem(blocks["E"], blocks["A"], blocks["B"], blocks["C"], blocks["D"])

@@ -131,17 +131,11 @@ class HankelData:
     """Largest Hankel singular value and the spectrum it came from.
 
     ``spectrum`` holds the (real, nonnegative, descending) eigenvalues of
-    Xc E^T Xo E; ``sigma1`` is the square root of its maximum;
-    ``multiplicity_estimate`` counts eigenvalues within 1e-8 relative of
-    sigma1**2 — the size of the group that decides the singular branch.
+    Xc E^T Xo E; ``sigma1`` is the square root of its maximum.
     """
 
     sigma1: float
     spectrum: np.ndarray
-    multiplicity_estimate: int
-
-
-_MULTIPLICITY_RTOL = 1e-8
 
 
 def hankel_sigma_max(
@@ -158,7 +152,7 @@ def hankel_sigma_max(
     tol = default_tol(tol)
     n = s.n
     if n == 0:
-        return HankelData(sigma1=0.0, spectrum=np.zeros(0), multiplicity_estimate=0)
+        return HankelData(sigma1=0.0, spectrum=np.zeros(0))
     neg_floor = tol * max(fro(gr.xc) * fro(gr.xo), 1.0)
     wc, vc = np.linalg.eigh(0.5 * (-(gr.xc) + -(gr.xc).T))
     if wc.min() >= -tol * max(1.0, wc.max(initial=0.0)):
@@ -175,8 +169,7 @@ def hankel_sigma_max(
         )
     mu = np.clip(mu, 0.0, None)
     top = mu[0] if mu.size else 0.0
-    mult = int(np.count_nonzero(np.abs(mu - top) <= _MULTIPLICITY_RTOL * max(top, 0.0)))
-    return HankelData(sigma1=math.sqrt(top), spectrum=mu, multiplicity_estimate=mult)
+    return HankelData(sigma1=math.sqrt(top), spectrum=mu)
 
 
 # ---------------------------------------------------------------------------

@@ -516,7 +516,8 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
     c_t = s.c @ q_mat
     s_minus = _diagonal_block(oq, 0, k, b_t[:k, :], c_t[:, :k], np.zeros((s.p, s.m)))
     s_plus = _diagonal_block(oq, k, s.n, b_t[k:, :], c_t[:, k:], s.d)
-    # The split routed eigenvalues; reclassify to catch borderline drift.
+    # The split routed eigenvalues; reclassify to catch any that drifted
+    # across the axis band on the way.
     if pencil_spectrum(s_plus, tol).stability_class is not StabilityClass.STABLE:
         raise SpectrumViolation("separated slow part failed the stability check")
     if pencil_spectrum(s_minus, tol).stability_class is not StabilityClass.ANTISTABLE:

@@ -39,7 +39,6 @@ from stablekit import (
     pencil_spectrum,
     transfer_polynomial_part,
 )
-from stablekit.gramians import _MULTIPLICITY_RTOL as MULTIPLICITY_RTOL
 from stablekit.synth import (
     _as_rng,
     _orthogonal_mix,
@@ -212,12 +211,24 @@ def gramians_kron(s):
     return xc.reshape((n, n), order="F"), xo.reshape((n, n), order="F")
 
 
-def hankel_sigma1_standard(a, b, c):
-    """sigma_1 of the antistable standard triple (A, B, C), from SciPy's Lyapunov
-    solver on the stable mirror (-A, B, -C)."""
+def hankel_values_standard(a, b, c):
+    """Hankel singular values, descending, of the antistable standard triple
+    (A, B, C), from SciPy's Lyapunov solver on the stable mirror (-A, B, -C)."""
     p = scipy.linalg.solve_continuous_lyapunov(-a, -b @ b.T)
     q = scipy.linalg.solve_continuous_lyapunov(-a.T, -c.T @ c)
-    return math.sqrt(max(np.linalg.eigvals(p @ q).real))
+    mu = np.sort(np.linalg.eigvals(p @ q).real)[::-1]
+    return np.sqrt(np.clip(mu, 0.0, None))
+
+
+# A Hankel value within this relative distance of sigma_1 counts into its
+# group. Tight enough that an antistable pair a few tolerances from the axis,
+# whose two Hankel values lie 3e-10 apart relative, reads as two groups.
+HANKEL_GROUP_RTOL = 1e-11
+
+
+def hankel_multiplicity(values, rtol=HANKEL_GROUP_RTOL):
+    """Size of the sigma_1 group among descending Hankel values."""
+    return int(np.count_nonzero(values[0] - values <= rtol * values[0]))
 
 
 def perfbench_modules():
@@ -279,6 +290,11 @@ def random_antistable_tri(rng, n, lo=0.2, hi=3.0):
 
 # ---------------------------------------------------------------------------
 # Balanced coordinates and the classical optimal approximant
+
+
+# The balanced construction groups Hankel values within this relative
+# distance of sigma_1 into the block it removes.
+MULTIPLICITY_RTOL = 1e-8
 
 
 class NotMinimal(Exception):

@@ -95,7 +95,7 @@ def test_criterion_2_singular_branch():
 
     # the reduction on its own: n - multiplicity = 0 finite poles, stable,
     # and the sampled error to the input reaches sigma_1 = 1 without exceeding it
-    gs = construct_gamma_system(ROTATE2, gramians(ROTATE2), 1.0)
+    gs = construct_gamma_system(ROTATE2, gramians(ROTATE2), 1.0, 1.0)
     red = reduce_singular_svd(gs)
     rep = pencil_spectrum(red)
     assert rep.finite_eigenvalues.size == 0
@@ -288,7 +288,7 @@ def test_criterion_9_covariance_identities():
         n = s.n
         gr = gramians(s)
         sigma1 = hankel_sigma_max(s, gr).sigma1
-        gs = construct_gamma_system(s, gr, 1.5 * sigma1)
+        gs = construct_gamma_system(s, gr, 1.5 * sigma1, sigma1)
         for _ in range(20):
             p = random_regular(rng, n)
             q = random_regular(rng, n)
@@ -304,7 +304,7 @@ def test_criterion_9_covariance_identities():
                 )
             # gamma-system covariance: (P, Q) on the source becomes
             # (Q^T, P^T) on the constructed matrices
-            gst = construct_gamma_system(st, grt, 1.5 * sigma1)
+            gst = construct_gamma_system(st, grt, 1.5 * sigma1, sigma1)
             for got, ref in (
                 (gst.e_g, q.T @ gs.e_g @ p.T),
                 (gst.a_g, q.T @ gs.a_g @ p.T),

@@ -27,10 +27,13 @@ from stablekit import (
 from stablekit.synth import random_orthogonal, random_unstable_system
 
 from oracles import (
+    MULTIPLICITY_RTOL,
     NotMinimal,
     bumped_descriptor_system,
     eval_transfer_np,
     glover_oracle,
+    hankel_multiplicity,
+    hankel_values_standard,
     quad_l2_diff,
     random_antistable_system,
     random_regular,
@@ -56,7 +59,8 @@ ROTATE2 = DescriptorSystem(
 
 
 def gamma_system_of(s: DescriptorSystem, gamma: float) -> GammaSystem:
-    return construct_gamma_system(s, gramians(s), gamma)
+    gr = gramians(s)
+    return construct_gamma_system(s, gr, gamma, hankel_sigma_max(s, gr).sigma1)
 
 
 def axis_points(rng=None, count=10):
@@ -138,7 +142,7 @@ def test_gamma_scalar_at_optimal_level():
     assert_allclose(gs.a_g, [[0.5]], atol=1e-14)
     assert_allclose(gs.b_g, [[-0.5]], atol=1e-14)
     assert_allclose(gs.c_g, [[-0.5]], atol=1e-14)
-    assert gs.regular.is_regular
+    assert gs.a_svd.numeric_rank == 1
     # constant transfer -1/2 (E = 0 with invertible A)
     sys_g = DescriptorSystem(gs.e_g, gs.a_g, gs.b_g, gs.c_g)
     for z in axis_points():
@@ -165,8 +169,7 @@ def test_gamma_rotate2_singular_pencil():
     assert_allclose(gs.a_g, np.diag([2.0, 0.0]), atol=1e-13)
     assert_allclose(gs.b_g, -np.asarray(ROTATE2.b), atol=1e-13)
     assert_allclose(gs.c_g, -np.asarray(ROTATE2.c), atol=1e-13)
-    assert not gs.regular.is_regular
-    assert gs.regular.rank == 1
+    assert gs.a_svd.numeric_rank == 1
 
 
 def test_gamma_rejects_small_gamma():
@@ -182,8 +185,8 @@ def test_gamma_strictly_above_sigma1_is_regular():
         gr = gramians(s)
         sigma1 = hankel_sigma_max(s, gr).sigma1
         for factor in (1.001, 1.1, 2.0):
-            gs = construct_gamma_system(s, gr, factor * sigma1)
-            assert gs.regular.is_regular
+            gs = construct_gamma_system(s, gr, factor * sigma1, sigma1)
+            assert gs.a_svd.numeric_rank == n
             sys_g = DescriptorSystem(gs.e_g, gs.a_g, gs.b_g, gs.c_g)
             rep = pencil_spectrum(sys_g)
             assert rep.stability_class in (
@@ -203,7 +206,7 @@ def test_gamma_matrix_identities_standard_form():
         sigma1 = hankel_sigma_max(s, gr).sigma1
         for factor in (1.0, 1.3):
             gamma = factor * sigma1
-            gs = construct_gamma_system(s, gr, gamma)
+            gs = construct_gamma_system(s, gr, gamma, sigma1)
             a = np.asarray(s.a)
             alt1 = -gs.r_g @ a.T - gs.b_g @ np.asarray(s.b).T
             alt2 = gamma**2 * a.T + gr.xo @ a @ gr.xc
@@ -220,12 +223,13 @@ def test_gamma_covariance_under_equivalence():
     gr = gramians(s)
     sigma1 = hankel_sigma_max(s, gr).sigma1
     for gamma in (sigma1, 1.5 * sigma1):
-        gs = construct_gamma_system(s, gr, gamma)
+        gs = construct_gamma_system(s, gr, gamma, sigma1)
         for _ in range(6):
             p = random_regular(rng, 4)
             q = random_regular(rng, 4)
             st = rse_transform(p, s, q)
-            gst = construct_gamma_system(st, gramians(st), gamma)
+            # sigma_1 is a transfer invariant
+            gst = construct_gamma_system(st, gramians(st), gamma, sigma1)
             for got, ref in (
                 (gst.e_g, q.T @ gs.e_g @ p.T),
                 (gst.a_g, q.T @ gs.a_g @ p.T),
@@ -238,17 +242,14 @@ def test_gamma_covariance_under_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# regularity verdict
+# numeric rank of the gamma-system A matrix
 
 
-def test_regularity_verdicts():
-    assert gamma_system_of(NEHARI, 0.5).regular.is_regular
-    v = gamma_system_of(ROTATE2, 1.0).regular
-    assert not v.is_regular
-    assert v.rank == 1
+def test_gamma_a_matrix_numeric_rank():
+    assert gamma_system_of(NEHARI, 0.5).a_svd.numeric_rank == 1
+    assert gamma_system_of(ROTATE2, 1.0).a_svd.numeric_rank == 1
     # above sigma_1 = 1 the gamma-system A matrix has full rank
-    v = gamma_system_of(ROTATE2, 2.0).regular
-    assert v.is_regular and v.rank == 2
+    assert gamma_system_of(ROTATE2, 2.0).a_svd.numeric_rank == 2
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +266,11 @@ def test_reduce_svd_rotate2():
         assert_allclose(eval_transfer_np(red, z), [[-1.0]], atol=1e-12)
 
 
-def test_reduce_guard_on_cleanly_regular():
-    gs = gamma_system_of(NEHARI, 1.0)
-    with pytest.raises(ValueError):
-        reduce_singular_svd(gs)
+def test_reduce_guard_on_full_rank():
+    # at the optimal level too: NEHARI's A_gamma is 1 x 1 and nonzero
+    for s, gamma in ((NEHARI, 0.5), (NEHARI, 1.0), (ROTATE2, 2.0)):
+        with pytest.raises(ValueError, match="full numeric rank"):
+            reduce_singular_svd(gamma_system_of(s, gamma))
 
 
 def test_reduce_rank_zero_returns_feedthrough():
@@ -301,7 +303,7 @@ def assert_optimal_reduction(s, red, sigma1, multiplicity):
 def test_reduce_svd_rotate2_meets_sigma1():
     gs = gamma_system_of(ROTATE2, 1.0)
     red = reduce_singular_svd(gs)
-    assert red.n == gs.regular.rank == 1
+    assert red.n == gs.a_svd.numeric_rank == 1
     assert_optimal_reduction(ROTATE2, red, 1.0, 2)
 
 
@@ -344,12 +346,13 @@ def test_reduce_svd_on_random_singular_instances():
         gr = gramians(s)
         hank = hankel_sigma_max(s, gr)
         assert hank.sigma1 == pytest.approx(1.0, rel=1e-10)
-        assert hank.multiplicity_estimate == 2
-        gs = construct_gamma_system(s, gr, hank.sigma1)
-        assert not gs.regular.is_regular
+        multiplicity = hankel_multiplicity(hankel_values_standard(s.a, s.b, s.c))
+        assert multiplicity == 2
+        gs = construct_gamma_system(s, gr, hank.sigma1, hank.sigma1)
+        assert gs.a_svd.numeric_rank < s.n
         red = reduce_singular_svd(gs)
-        assert red.n == gs.regular.rank
-        assert_optimal_reduction(s, red, hank.sigma1, hank.multiplicity_estimate)
+        assert red.n == gs.a_svd.numeric_rank
+        assert_optimal_reduction(s, red, hank.sigma1, multiplicity)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +376,8 @@ def test_glover_matches_balance_free_route():
     hits = 0
     while hits < 4:
         s = random_antistable_system(4, seed=rng, m=2, p=2)
-        gr = gramians(s)
-        hank = hankel_sigma_max(s, gr)
-        if hank.multiplicity_estimate != 1:
+        hsv = hankel_values_standard(s.a, s.b, s.c)
+        if hankel_multiplicity(hsv, MULTIPLICITY_RTOL) != 1:
             continue
         hits += 1
         g_ref = glover_oracle(s)
@@ -483,6 +485,21 @@ def test_apinf_singular_branch_factors_a_gamma_once(monkeypatch):
     res = solve_apinf(ROTATE2)
     assert res.branch is Branch.SINGULAR_SVD
     assert shapes == [(2, 2)]
+
+
+def test_apinf_computes_sigma1_once(monkeypatch):
+    calls = []
+
+    def counted(s, gr, tol=None):
+        calls.append(s.n)
+        return hankel_sigma_max(s, gr, tol)
+
+    monkeypatch.setattr(approximation, "hankel_sigma_max", counted)
+    # the singular and the regular route, each on its antistable part
+    for s, factor, n_minus in ((ROTATE2, None, 2), (eight_states_three_unstable(), 1.01, 3)):
+        calls.clear()
+        solve_apinf(s, gamma_factor=factor)
+        assert calls == [n_minus]
 
 
 def test_apinf_descriptor_singular_instance_takes_svd_branch():

@@ -132,6 +132,24 @@ def test_parse_validates_the_system():
         parse_dsys(text)
 
 
+# 3e6 states: the E block alone would take 72 TB, so a parser that sized its
+# blocks from the header died before reading a row.
+OVERSIZED = "DSYS 3000000 1 1\nE\n1 2\n"
+
+
+def test_parse_oversized_header_fails_on_its_first_row():
+    with pytest.raises(ParseError, match="expected 3000000"):
+        parse_dsys(OVERSIZED)
+
+
+def test_cli_oversized_header_exit_1(tmp_path, capsys):
+    path = tmp_path / "oversized.dsys"
+    path.write_text(OVERSIZED)
+    assert main(["approx", str(path), "--norm", "hinf", "-o", str(tmp_path / "x.dsys")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3:")
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

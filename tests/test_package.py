@@ -16,7 +16,7 @@ ROOT_EXPORTS = [
     "ConvergenceFailure", "DescriptorSystem", "DimensionMismatch", "FrequencyGrid",
     "GammaSystem", "GammaTooSmall", "GramianPair", "HankelData", "NegativeSpectrum",
     "NoUniqueSolution", "NonFiniteSample", "NonzeroFeedthrough", "OrderedQz",
-    "ParseError", "RegularityVerdict", "SingularPencil", "SingularTransform",
+    "ParseError", "SingularPencil", "SingularTransform",
     "SpectrumReport", "SpectrumViolation", "StabilityClass", "StablekitError",
     "StructureViolation", "SvdResult", "WeierstrassSplit", "additive_decompose",
     "construct_gamma_system", "direct_sum", "empty_system", "frequency_response",
