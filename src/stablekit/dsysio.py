@@ -68,7 +68,7 @@ def parse_dsys(text: str) -> DescriptorSystem:
             raise ParseError(f"expected block label {label!r}, found {content!r}", lineno)
         # built from the rows read, so a header alone allocates nothing
         rows, cols = shapes[label]
-        data = []
+        data, linenos = [], []
         if cols > 0:
             for i in range(rows):
                 lineno, content = next_line(f"row {i + 1} of block {label}")
@@ -80,24 +80,21 @@ def parse_dsys(text: str) -> DescriptorSystem:
                         lineno,
                     )
                 try:
-                    values = [float(t) for t in tokens]
+                    data.append(list(map(float, tokens)))
                 except ValueError:
                     raise ParseError(
                         f"block {label} row {i + 1} has a non-numeric entry", lineno
                     ) from None
-                if not all(np.isfinite(values)):
-                    raise ParseError(
-                        f"block {label} row {i + 1} has a non-finite entry", lineno
-                    )
-                data.append(values)
-        blocks[label] = np.array(data, dtype=np.float64).reshape(rows, cols)
+                linenos.append(lineno)
+        block = np.array(data, dtype=np.float64).reshape(rows, cols)
+        finite_rows = np.isfinite(block).all(axis=1)
+        if not finite_rows.all():
+            i = int(np.argmin(finite_rows))
+            raise ParseError(f"block {label} row {i + 1} has a non-finite entry", linenos[i])
+        blocks[label] = block
     for lineno, content in lines:
         raise ParseError(f"unexpected trailing content {content!r}", lineno)
     return DescriptorSystem(blocks["E"], blocks["A"], blocks["B"], blocks["C"], blocks["D"])
-
-
-def _format_row(row: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in row)
 
 
 def write_dsys(s: DescriptorSystem) -> str:
@@ -106,7 +103,7 @@ def write_dsys(s: DescriptorSystem) -> str:
     for label, mat in zip(_LABELS, (s.e, s.a, s.b, s.c, s.d)):
         out.append(label)
         if mat.shape[1] > 0:
-            out.extend(_format_row(row) for row in mat)
+            out.extend(" ".join(map(repr, row)) for row in mat.tolist())
     return "\n".join(out) + "\n"
 
 

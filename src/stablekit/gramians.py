@@ -267,6 +267,27 @@ def _difference_at_infinity(c1: np.ndarray, c2: np.ndarray, tol: float) -> float
     return float(np.linalg.norm(diff[0], 2))
 
 
+def _golden_section(a: float, b: float, target: float):
+    """Golden-section search for a maximum on [a, b], as a coroutine.
+
+    Yields each next frequency and receives its sampled value through
+    ``send``; stops once the bracket is no wider than ``target``.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = yield c
+    fd = yield d
+    while (b - a) > target:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = yield d
+        else:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = yield c
+
+
 def linf_error(
     s1: DescriptorSystem,
     s2: DescriptorSystem,
@@ -283,11 +304,15 @@ def linf_error(
     ``n0`` points (omega = 0 always included), then runs golden-section
     refinement around the top three local maxima (ties broken toward lower
     omega) until the bracket is below ``reltol`` relative to its location.
-    The reported maximum also covers the difference at omega = infinity,
-    which is infinite when G1 - G2 is improper. Each system is split once
-    and sampled through its ``weierstrass_split`` finite part, so polynomial
-    parts that cancel in G1 - G2 are never subtracted in floating point.
-    Raises NonFiniteSample if any sample at finite omega is not finite.
+    The three searches run in lockstep: each round samples the next point of
+    every unfinished bracket in one batch, and each bracket sees the same
+    points and comparisons as it would alone. The reported maximum also
+    covers the difference at omega = infinity, which is infinite when
+    G1 - G2 is improper. Each system is split once and sampled through its
+    ``weierstrass_split`` finite part, so polynomial parts that cancel in
+    G1 - G2 are never subtracted in floating point; a finite part of order 0
+    is its constant D and is not sampled at all. Raises NonFiniteSample if
+    any sample at finite omega is not finite.
     """
     tol = default_tol(tol)
     if s1.m != s2.m or s1.p != s2.p:
@@ -307,12 +332,17 @@ def linf_error(
         raise ValueError(f"need 0 < wmin < wmax, got [{wmin}, {wmax}]")
     omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, int(n0))])
 
+    def response(finite: DescriptorSystem, ws: np.ndarray) -> np.ndarray:
+        if finite.n == 0:
+            return finite.d.astype(complex)
+        return frequency_response(finite, ws)
+
     def batch(ws: np.ndarray) -> np.ndarray:
         try:
-            diff = frequency_response(split1.finite, ws) - frequency_response(split2.finite, ws)
+            diff = response(split1.finite, ws) - response(split2.finite, ws)
         except AtPole as exc:
             raise NonFiniteSample(str(exc)) from exc
-        vals = _spectral_norms(diff)
+        vals = _spectral_norms(np.broadcast_to(diff, (ws.size, s1.p, s1.m)))
         if not np.isfinite(vals).all():
             w_bad = ws[~np.isfinite(vals)][0]
             raise NonFiniteSample(
@@ -322,47 +352,40 @@ def linf_error(
         return vals
 
     vals = batch(omegas)
-    rec_w = [omegas]
-    rec_v = [vals]
+
+    # local maxima, by value descending and then omega ascending
+    edge = np.array([-math.inf])
+    left, right = np.concatenate([edge, vals[:-1]]), np.concatenate([vals[1:], edge])
+    peaks = np.flatnonzero((vals >= left) & (vals >= right))
+    peaks = peaks[np.lexsort((omegas[peaks], -vals[peaks]))]
 
     k = omegas.size
-    peaks = []
-    for i in range(k):
-        left = vals[i - 1] if i > 0 else -math.inf
-        right = vals[i + 1] if i + 1 < k else -math.inf
-        if vals[i] >= left and vals[i] >= right:
-            peaks.append(i)
-    peaks.sort(key=lambda i: (-vals[i], omegas[i]))
-
-    def eval_one(w: float) -> float:
-        v = batch(np.array([w]))
-        rec_w.append(np.array([w]))
-        rec_v.append(v)
-        return float(v[0])
-
+    searches = []
     for i in peaks[:3]:
         a = omegas[i - 1] if i > 0 else omegas[i]
         b = omegas[i + 1] if i + 1 < k else omegas[i]
-        if b <= a:
-            continue
-        target = reltol * max(omegas[i], wmin)
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc = eval_one(c)
-        fd = eval_one(d)
-        while (b - a) > target:
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = eval_one(d)
-            else:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = eval_one(c)
+        if b > a:
+            searches.append(_golden_section(a, b, reltol * max(omegas[i], wmin)))
+    sampled = [[] for _ in searches]
+    live = [(j, search.send(None)) for j, search in enumerate(searches)]
+    while live:
+        ws = np.array([w for _, w in live])
+        next_live = []
+        for (j, w), v in zip(live, batch(ws).tolist()):
+            sampled[j].append((w, v))
+            try:
+                next_live.append((j, searches[j].send(v)))
+            except StopIteration:
+                pass
+        live = next_live
 
-    # sorted and deduplicated, keeping the first sample of a repeated omega
-    all_w, idx = np.unique(np.concatenate(rec_w), return_index=True)
-    all_v = np.concatenate(rec_v)[idx]
+    # in the order a sequential search would sample, so that np.unique keeps
+    # the first sample of a repeated omega exactly as one would
+    refined = [pair for pairs in sampled for pair in pairs]
+    rec_w = np.concatenate([omegas, [w for w, _ in refined]])
+    rec_v = np.concatenate([vals, [v for _, v in refined]])
+    all_w, idx = np.unique(rec_w, return_index=True)
+    all_v = rec_v[idx]
 
     best = int(np.argmax(all_v))  # ties resolve to the lowest omega
     max_value = float(all_v[best])

@@ -276,13 +276,15 @@ def frequency_response(s: DescriptorSystem, omegas) -> np.ndarray:
     if s.n == 0:
         return np.broadcast_to(s.d.astype(complex), (k, s.p, s.m)).copy()
     step = max(1, _RESPONSE_BLOCK_BYTES // (16 * s.n * s.n))
-    b = s.b.astype(complex)
     out = np.empty((k, s.p, s.m), dtype=complex)
     for lo in range(0, k, step):
         ws = omegas[lo : lo + step]
-        pencils = 1j * ws[:, None, None] * s.e - s.a
+        # i omega E - A, written in place: one complex array per block
+        pencils = np.empty((ws.size, s.n, s.n), dtype=complex)
+        np.negative(s.a, out=pencils.real)
+        np.multiply(ws[:, None, None], s.e, out=pencils.imag)
         try:
-            x = np.linalg.solve(pencils, np.broadcast_to(b, (ws.size, s.n, s.m)))
+            x = np.linalg.solve(pencils, s.b)
         except np.linalg.LinAlgError as exc:
             raise AtPole("a grid frequency sits numerically on a pole") from exc
         out[lo : lo + step] = s.c @ x + s.d

@@ -6,7 +6,10 @@ and these helpers carries evidential weight: transfer values come from raw
 linear solves, L2 norms from adaptive Simpson quadrature, Gramians from
 dense Kronecker solves. The random fixtures build their systems through the
 public constructor. ``response_at_infinity`` is a convenience over the
-library's ``transfer_polynomial_part``, not an independent oracle.
+library's ``transfer_polynomial_part``, not an independent oracle, and
+``linf_error_sequential`` is the library's own L-infinity sampler with its
+refinement run one point at a time, the bitwise reference for the lockstep
+refinement.
 
 ``perfbench_modules`` imports the benchmark's seeded models and its
 correctness gate from ``perfbench/`` as they are, so tests can replay
@@ -32,12 +35,21 @@ import scipy.linalg
 from stablekit import (
     AtPole,
     DescriptorSystem,
+    FrequencyGrid,
     SpectrumViolation,
     StabilityClass,
     empty_system,
+    frequency_response,
     gramians,
     pencil_spectrum,
     transfer_polynomial_part,
+    weierstrass_split,
+)
+from stablekit.gramians import (
+    _INVPHI,
+    _difference_at_infinity,
+    _pole_scale,
+    _spectral_norms,
 )
 from stablekit.synth import (
     _as_rng,
@@ -106,6 +118,74 @@ def sample_norms(s, omegas):
     for k, w in enumerate(omegas):
         out[k] = np.linalg.norm(eval_transfer_np(s, 1j * w), 2)
     return out
+
+
+def linf_error_sequential(s1, s2, wmin=None, wmax=None, n0=512, reltol=1e-8, tol=None):
+    """``linf_error`` with its three golden-section searches run one after another.
+
+    The reference for the library's lockstep refinement: the same seed grid,
+    a Python loop for the peak pick, one single-point ``frequency_response``
+    call per refinement sample, and both finite parts sampled even when one
+    has order 0. Returns a ``FrequencyGrid`` that should match bit for bit.
+    """
+    tol = default_tol(tol)
+    scale = _pole_scale(s1, s2, tol=tol)
+    split1, split2 = weierstrass_split(s1, tol), weierstrass_split(s2, tol)
+    value_at_inf = _difference_at_infinity(split1.coefficients, split2.coefficients, tol)
+    wmin = float(wmin) if wmin is not None else 1e-6 * scale
+    wmax = float(wmax) if wmax is not None else 1e6 * scale
+    omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, int(n0))])
+
+    def batch(ws):
+        diff = frequency_response(split1.finite, ws) - frequency_response(split2.finite, ws)
+        return _spectral_norms(diff)
+
+    vals = batch(omegas)
+    rec_w, rec_v = [omegas], [vals]
+    k = omegas.size
+    peaks = []
+    for i in range(k):
+        left = vals[i - 1] if i > 0 else -math.inf
+        right = vals[i + 1] if i + 1 < k else -math.inf
+        if vals[i] >= left and vals[i] >= right:
+            peaks.append(i)
+    peaks.sort(key=lambda i: (-vals[i], omegas[i]))
+
+    def eval_one(w):
+        v = batch(np.array([w]))
+        rec_w.append(np.array([w]))
+        rec_v.append(v)
+        return float(v[0])
+
+    for i in peaks[:3]:
+        a = omegas[i - 1] if i > 0 else omegas[i]
+        b = omegas[i + 1] if i + 1 < k else omegas[i]
+        if b <= a:
+            continue
+        target = reltol * max(omegas[i], wmin)
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc = eval_one(c)
+        fd = eval_one(d)
+        while (b - a) > target:
+            if fc < fd:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                fd = eval_one(d)
+            else:
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = eval_one(c)
+
+    all_w, idx = np.unique(np.concatenate(rec_w), return_index=True)
+    all_v = np.concatenate(rec_v)[idx]
+    best = int(np.argmax(all_v))
+    max_value, argmax_omega = float(all_v[best]), float(all_w[best])
+    if value_at_inf > max_value:
+        max_value, argmax_omega = float(value_at_inf), math.inf
+    return FrequencyGrid(
+        omegas=all_w, values=all_v, argmax_omega=argmax_omega, max_value=max_value
+    )
 
 
 # ---------------------------------------------------------------------------

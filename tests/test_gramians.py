@@ -1,5 +1,6 @@
 """Gramians, Hankel data, L2/L-infinity norms, and balancing."""
 
+import importlib
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from stablekit import (
     SpectrumViolation,
     additive_decompose,
     direct_sum,
+    empty_system,
     frequency_response,
     gramians,
     h2_norm_antistable,
@@ -38,6 +40,7 @@ from oracles import (
     bumped_descriptor_system,
     eval_transfer_np,
     gramians_kron,
+    linf_error_sequential,
     quad_l2_diff,
     random_antistable_system,
     random_regular,
@@ -381,6 +384,95 @@ def test_linf_matches_dense_scan_oracle():
         )
         # the refined search must beat (or equal) a blind dense scan
         assert grid.max_value >= dense - 1e-7 * (1.0 + dense)
+
+
+def _resonant_two_port(seed):
+    # a lightly damped stable pair at omega = 1 and an antistable one at 8:
+    # two interior peaks, none at the grid ends
+    rng = np.random.default_rng(seed)
+    a = scipy.linalg.block_diag([[-0.05, 1.0], [-1.0, -0.05]], [[0.05, 8.0], [-8.0, 0.05]])
+    return DescriptorSystem(np.eye(4), a, rng.standard_normal((4, 2)), rng.standard_normal((2, 4)))
+
+
+def _assert_same_grid(got, want):
+    assert got.omegas.tobytes() == want.omegas.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert repr(got.max_value) == repr(want.max_value)
+    assert repr(got.argmax_omega) == repr(want.argmax_omega)
+
+
+def _lockstep_cases():
+    lowpass = scalar_system(1.0, -1.0, 1.0, 1.0)
+    highpass = scalar_system(1.0, -1.0, 1.0, -1.0, d=1.0)  # s / (s + 1)
+    s = random_unstable_system(8, 3, seed=11, m=2, p=2)
+    r = solve_apinf(s)
+    improper = bumped_descriptor_system(9, n=12, n_unstable=4)
+    return {
+        # one peak, at grid index 0 (omega = 0)
+        "lowpass": (lowpass, empty_system(1, 1), {}),
+        # flat to roundoff: 300 local maxima, picked by their last bits
+        "allpass-flat": (scalar_system(1.0, 1.0, 1.0, 1.0, d=0.5), empty_system(1, 1), {}),
+        # exactly constant: every point is a peak, so the top three brackets
+        # (indices 0, 1 and 2) overlap
+        "feedthrough": (
+            DescriptorSystem(np.eye(1), [[-1.0]], [[0.0]], [[1.0]], [[3.0]]),
+            empty_system(1, 1),
+            {},
+        ),
+        # rising profile: its one peak is the last grid point, index k - 1
+        "highpass": (highpass, empty_system(1, 1), {"wmin": 1e-3, "wmax": 1e-1}),
+        "two-peaks": (_resonant_two_port(1), empty_system(2, 2), {}),
+        "2x2-error-full": (s, r.system, {}),
+        "2x2-error-system": (r.error_system, empty_system(2, 2), {}),
+        "improper": (improper, solve_apinf(improper).system, {}),
+    }
+
+
+@pytest.mark.parametrize("name", list(_lockstep_cases()))
+def test_lockstep_refinement_matches_the_sequential_search_bitwise(name):
+    s1, s2, kw = _lockstep_cases()[name]
+    _assert_same_grid(linf_error(s1, s2, **kw), linf_error_sequential(s1, s2, **kw))
+
+
+def test_lockstep_peak_positions_are_covered():
+    # the cases above hold a top peak at index 0, one at k - 1, and fewer
+    # than three local maxima; check those profiles really are so shaped
+    cases = _lockstep_cases()
+    for name, index in (("lowpass", 0), ("highpass", -1)):
+        s1, s2, kw = cases[name]
+        omegas = np.concatenate(
+            [[0.0], np.geomspace(kw.get("wmin", 1e-6), kw.get("wmax", 1e6), 512)]
+        )
+        vals = np.linalg.norm(frequency_response(s1, omegas), 2, axis=(1, 2))
+        assert int(np.argmax(vals)) == index % omegas.size
+    s1, _, _ = cases["two-peaks"]
+    vals = np.linalg.norm(
+        frequency_response(s1, np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 512)])),
+        2,
+        axis=(1, 2),
+    )
+    inner = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
+    assert 1 <= np.count_nonzero(inner) < 3 and vals[0] < vals[1] and vals[-1] < vals[-2]
+
+
+def test_linf_of_batches_its_refinement(monkeypatch):
+    # the gramians module's name, since the package root's ``gramians`` is the function
+    module = importlib.import_module("stablekit.gramians")
+    response = module.frequency_response
+    orders = []
+
+    def counted(system, omegas):
+        orders.append(system.n)
+        return response(system, omegas)
+
+    monkeypatch.setattr(module, "frequency_response", counted)
+    grid = linf_of(_resonant_two_port(1))
+    # one seed-grid call plus one per lockstep round (36 here); refining the
+    # two peaks one after the other, and sampling the order-0 side as well,
+    # takes 146
+    assert len(orders) <= 40
+    assert min(orders) > 0
+    assert grid.omegas.size > 513
 
 
 def test_linf_error_on_an_improper_model_is_sigma1(tmp_path, capsys):

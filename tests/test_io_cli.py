@@ -123,6 +123,53 @@ def test_parse_rejects_bad_values():
         parse_dsys(MINIMAL.replace("C\n", "Q\n"))
 
 
+# row 3 of A sits on line 10: the header, E and its three rows, A, a
+# comment line, then A's rows
+EXTREME_A_ROW3 = 10
+
+
+def _extreme_system():
+    # -0.0 in A, the smallest subnormal and the largest double in B, C and D
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    return DescriptorSystem(
+        np.eye(3),
+        np.array([[-1.0, -0.0, 0.5], [0.0, -2.0, -0.0], [1e-300, 0.0, 3.0]]),
+        np.array([[huge, -0.0], [tiny, 1.0], [-tiny, -huge]]),
+        np.array([[1.0, -0.0, tiny], [huge, 2.5, -1.0]]),
+        np.array([[-0.0, tiny], [huge, 0.1]]),
+    )
+
+
+def _extreme_text_with_a_row3(token):
+    lines = write_dsys(_extreme_system()).splitlines()
+    lines.insert(6, "# A follows")
+    row = lines[EXTREME_A_ROW3 - 1].split()
+    lines[EXTREME_A_ROW3 - 1] = " ".join([row[0], token, row[2]])
+    return "\n".join(lines) + "\n"
+
+
+def test_write_dsys_matches_a_per_entry_repr_oracle():
+    s = _extreme_system()
+    want = [f"DSYS {s.n} {s.m} {s.p}"]
+    for label, mat in zip("EABCD", (s.e, s.a, s.b, s.c, s.d)):
+        want.append(label)
+        want.extend(" ".join(repr(float(x)) for x in row) for row in mat)
+    text = write_dsys(s)
+    assert text == "\n".join(want) + "\n"
+    assert "-0.0" in text and "5e-324" in text and "1.7976931348623157e+308" in text
+    back = parse_dsys(text)
+    for got, orig in zip((back.a, back.b, back.c, back.d), (s.a, s.b, s.c, s.d)):
+        assert got.tobytes() == orig.tobytes()  # signs of zero included
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+def test_parse_rejects_a_non_finite_row_at_its_own_line(token):
+    assert parse_dsys(_extreme_text_with_a_row3("0.25")).a[2, 1] == 0.25
+    with pytest.raises(ParseError, match="block A row 3 has a non-finite entry") as exc_info:
+        parse_dsys(_extreme_text_with_a_row3(token))
+    assert exc_info.value.line_number == EXTREME_A_ROW3
+
+
 def test_parse_validates_the_system():
     text = (
         "DSYS 2 1 1\nE\n1.0 0.0\n0.0 0.0\nA\n1.0 0.0\n0.0 0.0\n"

@@ -224,6 +224,21 @@ def test_frequency_response_memory_does_not_grow_with_the_grid():
     assert peak <= 8 * 2**20
 
 
+def test_frequency_response_builds_each_block_in_place():
+    # one complex pencil array per block; building i omega E - A from complex
+    # temporaries held three blocks at once
+    s = random_unstable_system(60, 10, seed=47, m=2, p=2, descriptor=True)
+    omegas = np.geomspace(1e-3, 1e3, 2000)
+    frequency_response(s, omegas[:3])
+    tracemalloc.start()
+    try:
+        out = frequency_response(s, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * systems._RESPONSE_BLOCK_BYTES + out.nbytes
+
+
 # ---------------------------------------------------------------------------
 # direct_sum
 
