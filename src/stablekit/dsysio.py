@@ -16,6 +16,8 @@ parse(write(S)) reproduces S bit-exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParseError
@@ -68,7 +70,7 @@ def parse_dsys(text: str) -> DescriptorSystem:
             raise ParseError(f"expected block label {label!r}, found {content!r}", lineno)
         # built from the rows read, so a header alone allocates nothing
         rows, cols = shapes[label]
-        data, linenos = [], []
+        data = []
         if cols > 0:
             for i in range(rows):
                 lineno, content = next_line(f"row {i + 1} of block {label}")
@@ -80,18 +82,17 @@ def parse_dsys(text: str) -> DescriptorSystem:
                         lineno,
                     )
                 try:
-                    data.append(list(map(float, tokens)))
+                    values = list(map(float, tokens))
                 except ValueError:
                     raise ParseError(
                         f"block {label} row {i + 1} has a non-numeric entry", lineno
                     ) from None
-                linenos.append(lineno)
-        block = np.array(data, dtype=np.float64).reshape(rows, cols)
-        finite_rows = np.isfinite(block).all(axis=1)
-        if not finite_rows.all():
-            i = int(np.argmin(finite_rows))
-            raise ParseError(f"block {label} row {i + 1} has a non-finite entry", linenos[i])
-        blocks[label] = block
+                if not all(map(math.isfinite, values)):
+                    raise ParseError(
+                        f"block {label} row {i + 1} has a non-finite entry", lineno
+                    )
+                data.append(values)
+        blocks[label] = np.array(data, dtype=np.float64).reshape(rows, cols)
     for lineno, content in lines:
         raise ParseError(f"unexpected trailing content {content!r}", lineno)
     return DescriptorSystem(blocks["E"], blocks["A"], blocks["B"], blocks["C"], blocks["D"])

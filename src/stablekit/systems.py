@@ -284,7 +284,9 @@ def frequency_response(s: DescriptorSystem, omegas) -> np.ndarray:
         np.negative(s.a, out=pencils.real)
         np.multiply(ws[:, None, None], s.e, out=pencils.imag)
         try:
-            x = np.linalg.solve(pencils, s.b)
+            # B as a stack of one matrix: NumPy 1.x would read a 2-D B
+            # against 3-D pencils as a stack of vectors
+            x = np.linalg.solve(pencils, s.b[None])
         except np.linalg.LinAlgError as exc:
             raise AtPole("a grid frequency sits numerically on a pole") from exc
         out[lo : lo + step] = s.c @ x + s.d

@@ -211,6 +211,27 @@ def test_frequency_response_blocks_match_one_stacked_solve():
     assert np.array_equal(frequency_response(s, omegas), stacked)
 
 
+@pytest.mark.parametrize("m, k", [(2, 1), (2, 5), (3, 1), (3, 4)])
+def test_frequency_response_reads_b_as_a_matrix_under_numpy1_rules(monkeypatch, m, k):
+    # NumPy 1.x solve reads b as a stack of vectors when b.ndim == a.ndim - 1;
+    # a 2-D B against 3-D pencils would then fail (m != n) or be solved row
+    # by row (m == n) instead of as one right-hand-side matrix
+    solve = np.linalg.solve
+
+    def solve_numpy1(a, b):
+        if b.ndim == a.ndim - 1:
+            return solve(a, b[..., None])[..., 0]
+        return solve(a, b)
+
+    s = random_unstable_system(3, 1, seed=19, m=m, p=2)
+    omegas = np.linspace(0.5, 2.0, k)
+    want = frequency_response(s, omegas)
+    monkeypatch.setattr(systems.np.linalg, "solve", solve_numpy1)
+    assert np.array_equal(frequency_response(s, omegas), want)
+    for w, g in zip(omegas, want):
+        assert_allclose(g, eval_transfer_np(s, 1j * w), atol=1e-12)
+
+
 def test_frequency_response_memory_does_not_grow_with_the_grid():
     s = random_unstable_system(80, 4, seed=43)
     omegas = np.geomspace(1e-3, 1e3, 513)
