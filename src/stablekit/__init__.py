@@ -66,7 +66,6 @@ from .systems import (
     negate_output,
     pencil_spectrum,
     rse_transform,
-    transfer_polynomial_part,
     weierstrass_split,
 )
 

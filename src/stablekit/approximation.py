@@ -85,9 +85,8 @@ class GammaSystem:
     Holds the raw matrices (the pencil may legitimately be singular at
     gamma = sigma_1, so no DescriptorSystem is formed here), the resolvent
     matrix ``r_g``, the SVD of ``a_g`` with its numeric rank (``a_svd``,
-    which selects and performs the singular reduction), the sigma_1 it was
-    built against, and the source antistable system (whose feedthrough the
-    reduction reattaches).
+    which selects and performs the singular reduction), and the source
+    antistable system (whose feedthrough the reduction reattaches).
     """
 
     e_g: np.ndarray
@@ -97,7 +96,6 @@ class GammaSystem:
     gamma: float
     r_g: np.ndarray
     a_svd: SvdResult
-    sigma1: float
     source: DescriptorSystem
 
 
@@ -114,7 +112,6 @@ class ApproxResult:
     sigma1: float
     gamma_used: float | None
     branch: Branch | None
-    reduced_order: int
     diagnostics: dict[str, Any]
     error_system: DescriptorSystem | None
 
@@ -147,7 +144,6 @@ def solve_ap2(s: DescriptorSystem, tol: float | None = None) -> ApproxResult:
         sigma1=sigma1,
         gamma_used=None,
         branch=None,
-        reduced_order=dec.s_plus.n,
         diagnostics=diagnostics,
         error_system=None,
     )
@@ -193,7 +189,6 @@ def construct_gamma_system(
         gamma=gamma,
         r_g=r_g,
         a_svd=a_svd,
-        sigma1=sigma1,
         source=s_minus,
     )
 
@@ -275,7 +270,6 @@ def solve_apinf(
             sigma1=0.0,
             gamma_used=0.0,
             branch=Branch.REGULAR,
-            reduced_order=dec.s_plus.n,
             diagnostics=diagnostics,
             error_system=dec.s_minus,
         )
@@ -316,7 +310,6 @@ def solve_apinf(
         sigma1=sigma1,
         gamma_used=gamma,
         branch=branch,
-        reduced_order=system.n,
         diagnostics=diagnostics,
         error_system=direct_sum(dec.s_minus, negate_output(approx_minus)),
     )

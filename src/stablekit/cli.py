@@ -28,7 +28,7 @@ import numpy as np
 from .approximation import solve_ap2, solve_apinf
 from .dsysio import load_dsys, save_dsys, write_freqresp_csv
 from .errors import AxisEigenvalue, ParseError, SingularPencil, StablekitError
-from .gramians import linf_error, linf_of, rl2_norm
+from .gramians import _default_band, linf_error, linf_of, rl2_norm
 from .synth import random_unstable_system
 from .systems import (
     DescriptorSystem,
@@ -163,11 +163,9 @@ def cmd_freqresp(args) -> int:
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     s = load_dsys(args.input)
-    rep = pencil_spectrum(s, args.tol)
-    fin = rep.finite_eigenvalues
-    rho = max(1.0, float(np.abs(fin).max())) if fin.size else 1.0
-    wmax = args.wmax if args.wmax is not None else 1e6 * rho
-    wmin = args.wmin if args.wmin is not None else 1e-6 * rho
+    band = _default_band(s, tol=args.tol)
+    wmin = args.wmin if args.wmin is not None else band[0]
+    wmax = args.wmax if args.wmax is not None else band[1]
     if wmin < 0 or wmax <= wmin:
         raise ValueError(f"need 0 <= wmin < wmax, got [{wmin}, {wmax}]")
     if wmin == 0.0:

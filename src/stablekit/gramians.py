@@ -36,7 +36,6 @@ from .systems import (
     empty_system,
     frequency_response,
     pencil_spectrum,
-    transfer_polynomial_part,
     weierstrass_split,
 )
 from .util import default_tol, fro
@@ -193,24 +192,25 @@ def h2_norm_antistable(
 def rl2_norm(s: DescriptorSystem, tol: float | None = None) -> float:
     """L2 norm of an arbitrary axis-pole-free transfer; inf when unbounded.
 
-    Finite exactly when the response vanishes at infinity; then the squared
-    norm splits over the stable/antistable parts (they are orthogonal in L2),
-    and the stable half is evaluated through its mirror G_plus(-s), whose
-    antistable part has the same norm.
+    Finite exactly when the response vanishes at infinity, which the
+    ``weierstrass_split`` coefficients decide before any other split. Then
+    the squared norm splits over the stable/antistable parts of the finite
+    part (they are orthogonal in L2), and the stable half is evaluated
+    through its mirror G_plus(-s), which is antistable with the same norm.
     """
     tol = default_tol(tol)
-    coeffs = transfer_polynomial_part(s, tol)
+    ws = weierstrass_split(s, tol)
+    coeffs = ws.coefficients
     feed_scale = tol * (1.0 + fro(s.b) * fro(s.c) + fro(s.d))
     if coeffs.shape[0] > 1 or fro(coeffs[0]) > feed_scale:
         return float("inf")
-    dec = additive_decompose(s, tol)
+    dec = additive_decompose(ws.finite, tol)
     total = 0.0
     if dec.s_minus.n > 0:
         total += h2_norm_antistable(dec.s_minus, gramians(dec.s_minus, tol), tol) ** 2
     if dec.s_plus.n > 0:
         flip = additive_decompose(_mirror(dec.s_plus), tol).s_minus
-        if flip.n > 0:
-            total += h2_norm_antistable(flip, gramians(flip, tol), tol) ** 2
+        total += h2_norm_antistable(flip, gramians(flip, tol), tol) ** 2
     return math.sqrt(total)
 
 
@@ -237,13 +237,18 @@ def _spectral_norms(g: np.ndarray) -> np.ndarray:
     return np.linalg.svd(g, compute_uv=False)[:, 0]
 
 
-def _pole_scale(*systems: DescriptorSystem, tol: float | None = None) -> float:
+def _default_band(*systems: DescriptorSystem, tol: float | None = None) -> tuple[float, float]:
+    """The frequency band [1e-6 rho, 1e6 rho] around the systems' pole scale.
+
+    rho is the largest magnitude of a finite pole, floored at 1, so the band
+    is always finite and ordered.
+    """
     rho = 1.0
     for s in systems:
         fin = pencil_spectrum(s, tol).finite_eigenvalues
         if fin.size:
             rho = max(rho, float(np.abs(fin).max()))
-    return rho
+    return 1e-6 * rho, 1e6 * rho
 
 
 def _difference_at_infinity(c1: np.ndarray, c2: np.ndarray, tol: float) -> float:
@@ -288,22 +293,22 @@ def _golden_section(a: float, b: float, target: float):
             fc = yield c
 
 
+#: Log-spaced seed points of ``linf_error``'s grid, omega = 0 aside.
+_SEED_POINTS = 512
+#: Width, relative to its location, below which a refined bracket stops.
+_RELTOL = 1e-8
+
+
 def linf_error(
-    s1: DescriptorSystem,
-    s2: DescriptorSystem,
-    wmin: float | None = None,
-    wmax: float | None = None,
-    n0: int = 512,
-    reltol: float = 1e-8,
-    tol: float | None = None,
+    s1: DescriptorSystem, s2: DescriptorSystem, tol: float | None = None
 ) -> FrequencyGrid:
     """Sampled L-infinity norm of the difference G1 - G2.
 
-    ``wmin``/``wmax`` default to 1e-6 and 1e6 times the magnitude scale of
-    the finite poles of both systems (floored at 1). Seeds a log grid of
-    ``n0`` points (omega = 0 always included), then runs golden-section
-    refinement around the top three local maxima (ties broken toward lower
-    omega) until the bracket is below ``reltol`` relative to its location.
+    Seeds a log grid of ``_SEED_POINTS`` points from 1e-6 to 1e6 times the
+    magnitude scale of the finite poles of both systems (floored at 1),
+    with omega = 0 always included, then runs golden-section refinement
+    around the top three local maxima (ties broken toward lower omega)
+    until the bracket is below ``_RELTOL`` relative to its location.
     The three searches run in lockstep: each round samples the next point of
     every unfinished bracket in one batch, and each bracket sees the same
     points and comparisons as it would alone. The reported maximum also
@@ -320,17 +325,10 @@ def linf_error(
             "error norm needs matching input/output counts, got "
             f"({s1.m},{s1.p}) and ({s2.m},{s2.p})"
         )
-    scale = _pole_scale(s1, s2, tol=tol)
+    wmin, wmax = _default_band(s1, s2, tol=tol)
     split1, split2 = weierstrass_split(s1, tol), weierstrass_split(s2, tol)
     value_at_inf = _difference_at_infinity(split1.coefficients, split2.coefficients, tol)
-    wmin = float(wmin) if wmin is not None else 1e-6 * scale
-    wmax = float(wmax) if wmax is not None else 1e6 * scale
-    for name, value in (("wmin", wmin), ("wmax", wmax)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if not (0.0 < wmin < wmax):
-        raise ValueError(f"need 0 < wmin < wmax, got [{wmin}, {wmax}]")
-    omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, int(n0))])
+    omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, _SEED_POINTS)])
 
     def response(finite: DescriptorSystem, ws: np.ndarray) -> np.ndarray:
         if finite.n == 0:
@@ -365,7 +363,7 @@ def linf_error(
         a = omegas[i - 1] if i > 0 else omegas[i]
         b = omegas[i + 1] if i + 1 < k else omegas[i]
         if b > a:
-            searches.append(_golden_section(a, b, reltol * max(omegas[i], wmin)))
+            searches.append(_golden_section(a, b, _RELTOL * max(omegas[i], wmin)))
     sampled = [[] for _ in searches]
     live = [(j, search.send(None)) for j, search in enumerate(searches)]
     while live:
@@ -398,13 +396,6 @@ def linf_error(
     )
 
 
-def linf_of(
-    s: DescriptorSystem,
-    wmin: float | None = None,
-    wmax: float | None = None,
-    n0: int = 512,
-    reltol: float = 1e-8,
-    tol: float | None = None,
-) -> FrequencyGrid:
+def linf_of(s: DescriptorSystem, tol: float | None = None) -> FrequencyGrid:
     """Sampled L-infinity norm of a single transfer function: the error to G = 0."""
-    return linf_error(s, empty_system(s.m, s.p), wmin, wmax, n0, reltol, tol)
+    return linf_error(s, empty_system(s.m, s.p), tol)

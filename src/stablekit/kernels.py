@@ -2,12 +2,12 @@
 
 This module wraps the LAPACK-backed factorizations (generalized and real
 Schur forms, SVD) behind the contracts the rest of the package relies on,
-and solves the coupled generalized Sylvester equation that
-block-diagonalizes a triangularized pencil. Which eigenvalues of a pencil
-are infinite is decided once, by rank decisions on E, when
-``pencil_eigendata`` builds the generalized Schur form: the infinite pairs
-go last, with beta exactly 0.
-Where the finite ones lie is read in ``systems``, which also reorders a
+and solves, on the diagonal blocks of a generalized Schur form and with no
+factorization of its own, the coupled generalized Sylvester equation that
+block-diagonalizes that form. Which eigenvalues of a pencil are infinite
+is decided once, by rank decisions on E, when ``pencil_eigendata`` builds
+the generalized Schur form: the infinite pairs go last, with beta exactly
+0. Where the finite ones lie is read in ``systems``, which also reorders a
 system's stored form; the Gramians' Lyapunov equations are solved in
 ``gramians``, on that stored form.
 
@@ -218,36 +218,15 @@ def pencil_eigendata(e, a) -> OrderedQz:
 # Coupled Sylvester equation
 
 
-def _schur_form(a: np.ndarray, e: np.ndarray):
-    """(S, T, Q, Z) with A = Q S Z^T, E = Q T Z^T and (S, T) in real generalized Schur form.
-
-    A pencil already in that form (A zero below its first subdiagonal with no
-    two adjacent nonzero subdiagonal entries, E upper triangular), such as a
-    diagonal block of a reordered Schur form, is returned as is with identity
-    factors, so no pencil is factored twice.
-    """
-    i = np.arange(a.shape[0])
-    sub = a.diagonal(-1) != 0.0
-    below_sub = a[np.greater.outer(i, i + 1)]
-    below_diag = e[np.greater.outer(i, i)]
-    if not (below_sub.any() or (sub[1:] & sub[:-1]).any() or below_diag.any()):
-        eye = np.eye(a.shape[0])
-        return a, e, eye, eye
-    try:
-        return scipy.linalg.qz(a, e, output="real")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK-dependent
-        raise ConvergenceFailure(f"QZ iteration failed: {exc}") from exc
-
-
 def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None):
     """Solve the coupled pair A1 R - L A3 = -A2 and E1 R - L E3 = -E2.
 
-    The pencils (E1, A1) and (E3, A3) must be regular with disjoint spectra;
-    otherwise NoUniqueSolution is raised. Each pencil is brought to real
-    generalized Schur form by QZ unless it already is (the diagonal blocks of
-    a reordered Schur form are), and the reduced equation is solved by LAPACK
-    ``tgsyl`` (Kagstrom & Poromaa, ACM TOMS 1996). After the reductions the
-    solve costs O(kl(k + l)) time and O(kl) memory.
+    (A1, E1) and (A3, E3) must be diagonal blocks of a real generalized
+    Schur form (A quasi-upper and E upper triangular), as ``_block_split``
+    passes them, with disjoint spectra. LAPACK ``tgsyl`` (Kagstrom &
+    Poromaa, ACM TOMS 1996) solves the pair in O(kl(k + l)) time and O(kl)
+    memory. The residual is checked on the input, so blocks that break
+    the contract, or spectra that are not disjoint, raise NoUniqueSolution.
     """
     tol = default_tol(tol)
     a1 = as_matrix(a1, "A1")
@@ -268,25 +247,19 @@ def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None
     if k == 0 or l == 0:
         return np.zeros((k, l)), np.zeros((k, l))
 
-    # On blocks already in Schur form no call below builds a keyword dict,
-    # as np.tril and keyword arguments to f2py wrappers do: whether such a
-    # dict is allocated afresh depends on CPython's free lists, so the bytes
-    # a call allocates, which traced benchmark runs compare between passes,
-    # would vary.
-    s1, t1, q1, z1 = _schur_form(a1, e1)
-    s3, t3, q3, z3 = _schur_form(a3, e3)
-    # In the Schur bases the unknowns are Z1^T R Z3 and Q1^T L Q3; the
-    # wrapper's default ijob = 0 solves without the dif estimate.
-    r, m_l, scale, _, info = scipy.linalg.lapack.dtgsyl(
-        s1, s3, -(q1.T @ a2 @ z3), t1, t3, -(q1.T @ e2 @ z3)
-    )
+    # No call below builds a keyword dict, as np.tril and keyword arguments
+    # to f2py wrappers do: whether such a dict is allocated afresh depends
+    # on CPython's free lists, so the bytes a call allocates, which traced
+    # benchmark runs compare between passes, would vary. The wrapper's
+    # default ijob = 0 solves without the dif estimate.
+    r, m_l, scale, _, info = scipy.linalg.lapack.dtgsyl(a1, a3, -a2, e1, e3, -e2)
     if info != 0:
         raise NoUniqueSolution(
             f"coupled Sylvester solver failed (info {info}); the block spectra "
             "are not disjoint"
         )
-    r = z1 @ (r / scale) @ z3.T
-    m_l = q1 @ (m_l / scale) @ q3.T
+    r = r / scale
+    m_l = m_l / scale
 
     bound = tol * (fro(a2) + fro(e2) + 1.0)
     res_a = fro(a1 @ r - m_l @ a3 + a2)
@@ -294,8 +267,9 @@ def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None
     if res_a > bound or res_e > bound:
         raise NoUniqueSolution(
             "coupled Sylvester residual too large "
-            f"({max(res_a, res_e):.3e} > {bound:.3e}); block spectra are "
-            "numerically not disjoint"
+            f"({max(res_a, res_e):.3e} > {bound:.3e}); the blocks are not in "
+            "real generalized Schur form, or their spectra are numerically "
+            "not disjoint"
         )
     return r, m_l
 

@@ -49,7 +49,6 @@ __all__ = [
     "AdditiveDecomposition",
     "pencil_spectrum",
     "frequency_response",
-    "transfer_polynomial_part",
     "direct_sum",
     "rse_transform",
     "weierstrass_split",
@@ -293,16 +292,6 @@ def frequency_response(s: DescriptorSystem, omegas) -> np.ndarray:
     return out
 
 
-def transfer_polynomial_part(s: DescriptorSystem, tol: float | None = None) -> np.ndarray:
-    """Coefficients T_i of the behaviour of G at infinity: ``weierstrass_split``'s.
-
-    Returns an (l, p, m) array with G(s) = strictly-proper part +
-    sum_i s^i T_i; trailing negligible coefficients are trimmed, so l = 1
-    with T_0 = D for a system with regular E. l > 1 means G is improper.
-    """
-    return weierstrass_split(s, tol).coefficients
-
-
 # ---------------------------------------------------------------------------
 # System algebra
 
@@ -477,14 +466,10 @@ class AdditiveDecomposition:
 
     ``s_plus`` carries the full feedthrough and any infinite eigenvalues;
     ``s_minus`` has regular E, zero feedthrough, and spectrum in Re > 0.
-    ``p`` and ``q`` are the equivalence transforms: (P E Q, P A Q, P B, C Q, D)
-    equals s_minus (+) s_plus block for block.
     """
 
     s_plus: DescriptorSystem
     s_minus: DescriptorSystem
-    p: np.ndarray
-    q: np.ndarray
 
 
 def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> AdditiveDecomposition:
@@ -501,16 +486,11 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
         fin = rep.finite_eigenvalues
         offender = fin[np.argmin(np.abs(fin.real) - tol * (1.0 + np.abs(fin)))]
         raise AxisEigenvalue(complex(offender))
-    eye = np.eye(s.n)
     if rep.stability_class is StabilityClass.STABLE:
-        return AdditiveDecomposition(
-            s_plus=s, s_minus=empty_system(s.m, s.p), p=eye, q=eye.copy()
-        )
+        return AdditiveDecomposition(s_plus=s, s_minus=empty_system(s.m, s.p))
     if rep.stability_class is StabilityClass.ANTISTABLE:
         s_minus = _known_spectrum(s.e, s.a, s.b, s.c, np.zeros((s.p, s.m)), s._schur)
-        return AdditiveDecomposition(
-            s_plus=empty_system(s.m, s.p, s.d), s_minus=s_minus, p=eye, q=eye.copy()
-        )
+        return AdditiveDecomposition(s_plus=empty_system(s.m, s.p, s.d), s_minus=s_minus)
 
     lam, infinite = _classify(s._schur)
     anti = ~infinite & (lam.real > 0.0)
@@ -526,4 +506,4 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
         raise SpectrumViolation("separated slow part failed the stability check")
     if pencil_spectrum(s_minus, tol).stability_class is not StabilityClass.ANTISTABLE:
         raise SpectrumViolation("separated fast part failed the antistability check")
-    return AdditiveDecomposition(s_plus=s_plus, s_minus=s_minus, p=p_mat, q=q_mat)
+    return AdditiveDecomposition(s_plus=s_plus, s_minus=s_minus)

@@ -6,10 +6,13 @@ and these helpers carries evidential weight: transfer values come from raw
 linear solves, L2 norms from adaptive Simpson quadrature, Gramians from
 dense Kronecker solves. The random fixtures build their systems through the
 public constructor. ``response_at_infinity`` is a convenience over the
-library's ``transfer_polynomial_part``, not an independent oracle, and
+library's ``weierstrass_split``, not an independent oracle, and
 ``linf_error_sequential`` is the library's own L-infinity sampler with its
 refinement run one point at a time, the bitwise reference for the lockstep
-refinement.
+refinement. ``sylvester_on_general_pencils`` brings two general pencils to
+real generalized Schur form with ``scipy.linalg.qz`` so that the library's
+coupled Sylvester kernel, which takes Schur-form blocks only, can be tested
+on them.
 
 ``perfbench_modules`` imports the benchmark's seeded models and its
 correctness gate from ``perfbench/`` as they are, so tests can replay
@@ -24,6 +27,7 @@ singular reduction.
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 from dataclasses import dataclass
@@ -42,13 +46,13 @@ from stablekit import (
     frequency_response,
     gramians,
     pencil_spectrum,
-    transfer_polynomial_part,
+    solve_generalized_sylvester,
     weierstrass_split,
 )
 from stablekit.gramians import (
     _INVPHI,
+    _default_band,
     _difference_at_infinity,
-    _pole_scale,
     _spectral_norms,
 )
 from stablekit.synth import (
@@ -60,6 +64,9 @@ from stablekit.synth import (
     random_unstable_system,
 )
 from stablekit.util import default_tol
+
+# the package root's ``gramians`` is the function, not the module
+gramians_module = importlib.import_module("stablekit.gramians")
 
 # ---------------------------------------------------------------------------
 # Transfer-function evaluation from first principles
@@ -97,7 +104,7 @@ def transfer_eval(s, z):
 
 def response_at_infinity(s, tol=None):
     """The limit of G(s) as s -> infinity, or None when G is unbounded there."""
-    coeffs = transfer_polynomial_part(s, tol)
+    coeffs = weierstrass_split(s, tol).coefficients
     if coeffs.shape[0] > 1:
         return None
     return coeffs[0]
@@ -120,21 +127,20 @@ def sample_norms(s, omegas):
     return out
 
 
-def linf_error_sequential(s1, s2, wmin=None, wmax=None, n0=512, reltol=1e-8, tol=None):
+def linf_error_sequential(s1, s2, tol=None):
     """``linf_error`` with its three golden-section searches run one after another.
 
     The reference for the library's lockstep refinement: the same seed grid,
     a Python loop for the peak pick, one single-point ``frequency_response``
     call per refinement sample, and both finite parts sampled even when one
-    has order 0. Returns a ``FrequencyGrid`` that should match bit for bit.
+    has order 0. Reads the library's ``_SEED_POINTS`` and ``_RELTOL`` when
+    called. Returns a ``FrequencyGrid`` that should match bit for bit.
     """
     tol = default_tol(tol)
-    scale = _pole_scale(s1, s2, tol=tol)
+    wmin, wmax = _default_band(s1, s2, tol=tol)
     split1, split2 = weierstrass_split(s1, tol), weierstrass_split(s2, tol)
     value_at_inf = _difference_at_infinity(split1.coefficients, split2.coefficients, tol)
-    wmin = float(wmin) if wmin is not None else 1e-6 * scale
-    wmax = float(wmax) if wmax is not None else 1e6 * scale
-    omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, int(n0))])
+    omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, gramians_module._SEED_POINTS)])
 
     def batch(ws):
         diff = frequency_response(split1.finite, ws) - frequency_response(split2.finite, ws)
@@ -162,7 +168,7 @@ def linf_error_sequential(s1, s2, wmin=None, wmax=None, n0=512, reltol=1e-8, tol
         b = omegas[i + 1] if i + 1 < k else omegas[i]
         if b <= a:
             continue
-        target = reltol * max(omegas[i], wmin)
+        target = gramians_module._RELTOL * max(omegas[i], wmin)
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
         fc = eval_one(c)
@@ -269,6 +275,24 @@ def pencil_eigenvalues_np(e, a):
     if e.shape[0] == 0:
         return np.zeros(0, dtype=complex)
     return np.linalg.eigvals(np.linalg.solve(e, a))
+
+
+# ---------------------------------------------------------------------------
+# Coupled Sylvester equations on general pencils
+
+
+def sylvester_on_general_pencils(a1, a3, e1, e3, a2, e2):
+    """(R, L) with A1 R - L A3 = -A2 and E1 R - L E3 = -E2 for general pencils.
+
+    ``scipy.linalg.qz`` brings each pencil to real generalized Schur form,
+    A = Q S Z^T and E = Q T Z^T. The library's kernel, which takes such
+    blocks only, solves for Z1^T R Z3 and Q1^T L Q3, which are transformed
+    back here.
+    """
+    s1, t1, q1, z1 = scipy.linalg.qz(a1, e1, output="real")
+    s3, t3, q3, z3 = scipy.linalg.qz(a3, e3, output="real")
+    r, l = solve_generalized_sylvester(s1, s3, t1, t3, q1.T @ a2 @ z3, q1.T @ e2 @ z3)
+    return z1 @ r @ z3.T, q1 @ l @ q3.T
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ from stablekit import (
     linf_error,
     linf_of,
     negate_output,
+    pencil_spectrum,
+    random_orthogonal,
     rl2_norm,
     rse_transform,
     save_dsys,
     solve_apinf,
-    transfer_polynomial_part,
+    weierstrass_split,
 )
 from stablekit.cli import main
 from stablekit.synth import random_unstable_system
@@ -43,8 +45,12 @@ from oracles import (
     linf_error_sequential,
     quad_l2_diff,
     random_antistable_system,
+    random_antistable_tri,
     random_regular,
 )
+
+# the package root's ``gramians`` is the function, not the module
+gramians_module = importlib.import_module("stablekit.gramians")
 
 
 def scalar_system(e, a, b, c, d=0.0):
@@ -292,13 +298,29 @@ def test_rl2_stable_system_matches_quadrature():
     assert rl2_norm(s) == pytest.approx(quad_l2_diff(s), rel=1e-6)
 
 
-def test_rl2_infinite_for_feedthrough():
+def _counted(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_rl2_infinite_for_feedthrough(monkeypatch):
+    splits = _counted(monkeypatch, gramians_module, "additive_decompose")
     s = scalar_system(1.0, 1.0, 1.0, 1.0, d=0.25)
     assert rl2_norm(s) == np.inf
+    assert splits == []
 
 
-def test_rl2_infinite_for_polynomial_part():
-    # transfer grows like s: not square integrable
+def test_rl2_infinite_for_polynomial_part(monkeypatch):
+    # transfer grows like s: not square integrable, decided before any
+    # additive split
+    splits = _counted(monkeypatch, gramians_module, "additive_decompose")
     s_imp = DescriptorSystem(
         np.array([[0.0, 1.0], [0.0, 0.0]]),
         np.eye(2),
@@ -306,6 +328,38 @@ def test_rl2_infinite_for_polynomial_part():
         np.array([[1.0, 0.0]]),
     )
     assert rl2_norm(s_imp) == np.inf
+    assert splits == []
+
+
+def test_rl2_splits_at_infinity_once_and_the_finite_part_once(monkeypatch):
+    # a stable and an antistable block plus an index-2 nilpotent pair that the
+    # output does not see, mixed by orthogonal factors: infinite eigenvalues,
+    # yet G is strictly proper and its L2 norm finite
+    rng = np.random.default_rng(83)
+    a_f = scipy.linalg.block_diag(
+        random_antistable_tri(rng, 3, -3.0, -0.5), random_antistable_tri(rng, 2, 0.5, 3.0)
+    )
+    e0 = scipy.linalg.block_diag(np.eye(5), [[0.0, 1.0], [0.0, 0.0]])
+    a0 = scipy.linalg.block_diag(a_f, np.eye(2))
+    b0 = rng.standard_normal((7, 2))
+    c0 = np.hstack([rng.standard_normal((2, 5)), np.zeros((2, 2))])
+    u, v = random_orthogonal(rng, 7), random_orthogonal(rng, 7)
+    s = DescriptorSystem(u @ e0 @ v, u @ a0 @ v, u @ b0, c0 @ v)
+    assert pencil_spectrum(s).n_infinite == 2
+    assert weierstrass_split(s).coefficients.shape[0] == 1
+
+    # the route that splits the whole system additively, infinite pairs and all
+    dec = additive_decompose(s)
+    flip = additive_decompose(systems._mirror(dec.s_plus)).s_minus
+    ref = np.sqrt(sum(h2_norm_antistable(x, gramians(x)) ** 2 for x in (dec.s_minus, flip)))
+
+    sylvester = _counted(monkeypatch, systems, "solve_generalized_sylvester")
+    got = rl2_norm(s)
+    # one Weierstrass split, one additive split of the finite part; the mirror
+    # of its stable half is antistable and needs no solve
+    assert len(sylvester) == 2
+    assert got == pytest.approx(ref, rel=1e-12)
+    assert got == pytest.approx(quad_l2_diff(s), rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +393,12 @@ def test_linf_error_of_identical_systems_is_zero():
     assert grid.max_value == 0.0
 
 
-def test_linf_stable_under_grid_refinement():
+def test_linf_stable_under_grid_refinement(monkeypatch):
     s = random_unstable_system(6, 3, seed=29, m=2, p=2)
-    coarse = linf_of(s, n0=256, reltol=1e-9)
-    fine = linf_of(s, n0=2048, reltol=1e-9)
+    monkeypatch.setattr(gramians_module, "_SEED_POINTS", 256)
+    coarse = linf_of(s)
+    monkeypatch.setattr(gramians_module, "_SEED_POINTS", 2048)
+    fine = linf_of(s)
     assert fine.max_value >= coarse.max_value - 1e-12
     assert fine.max_value - coarse.max_value <= 1e-6 * (1.0 + coarse.max_value)
 
@@ -355,21 +411,9 @@ def test_linf_value_at_infinity_participates():
 
 
 def test_linf_axis_pole_raises():
-    s = DescriptorSystem(
-        np.eye(2),
-        np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        np.array([[0.0], [1.0]]),
-        np.array([[1.0, 0.0]]),
-    )
-    # grid endpoint pinned exactly on the pole at omega = 1
+    # 1/s: the seed grid's first point, omega = 0, sits exactly on the pole
     with pytest.raises(NonFiniteSample):
-        linf_of(s, wmin=1.0, wmax=10.0)
-
-
-def test_linf_rejects_a_non_finite_bound():
-    s = random_unstable_system(4, 2, seed=23)
-    with pytest.raises(ValueError, match="wmax must be finite"):
-        linf_error(s, s, wmax=np.inf)
+        linf_of(scalar_system(1.0, 0.0, 1.0, 1.0))
 
 
 def test_linf_matches_dense_scan_oracle():
@@ -377,7 +421,7 @@ def test_linf_matches_dense_scan_oracle():
     for _ in range(4):
         n = int(rng.integers(2, 6))
         s = random_unstable_system(n, int(rng.integers(0, n)), seed=rng, m=2, p=2)
-        grid = linf_of(s, reltol=1e-10)
+        grid = linf_of(s)
         omegas = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 20001)])
         dense = max(
             np.linalg.norm(eval_transfer_np(s, 1j * w), 2) for w in omegas
@@ -409,63 +453,52 @@ def _lockstep_cases():
     improper = bumped_descriptor_system(9, n=12, n_unstable=4)
     return {
         # one peak, at grid index 0 (omega = 0)
-        "lowpass": (lowpass, empty_system(1, 1), {}),
+        "lowpass": (lowpass, empty_system(1, 1)),
         # flat to roundoff: 300 local maxima, picked by their last bits
-        "allpass-flat": (scalar_system(1.0, 1.0, 1.0, 1.0, d=0.5), empty_system(1, 1), {}),
+        "allpass-flat": (scalar_system(1.0, 1.0, 1.0, 1.0, d=0.5), empty_system(1, 1)),
         # exactly constant: every point is a peak, so the top three brackets
         # (indices 0, 1 and 2) overlap
         "feedthrough": (
             DescriptorSystem(np.eye(1), [[-1.0]], [[0.0]], [[1.0]], [[3.0]]),
             empty_system(1, 1),
-            {},
         ),
         # rising profile: its one peak is the last grid point, index k - 1
-        "highpass": (highpass, empty_system(1, 1), {"wmin": 1e-3, "wmax": 1e-1}),
-        "two-peaks": (_resonant_two_port(1), empty_system(2, 2), {}),
-        "2x2-error-full": (s, r.system, {}),
-        "2x2-error-system": (r.error_system, empty_system(2, 2), {}),
-        "improper": (improper, solve_apinf(improper).system, {}),
+        "highpass": (highpass, empty_system(1, 1)),
+        "two-peaks": (_resonant_two_port(1), empty_system(2, 2)),
+        "2x2-error-full": (s, r.system),
+        "2x2-error-system": (r.error_system, empty_system(2, 2)),
+        "improper": (improper, solve_apinf(improper).system),
     }
 
 
 @pytest.mark.parametrize("name", list(_lockstep_cases()))
 def test_lockstep_refinement_matches_the_sequential_search_bitwise(name):
-    s1, s2, kw = _lockstep_cases()[name]
-    _assert_same_grid(linf_error(s1, s2, **kw), linf_error_sequential(s1, s2, **kw))
+    s1, s2 = _lockstep_cases()[name]
+    _assert_same_grid(linf_error(s1, s2), linf_error_sequential(s1, s2))
 
 
 def test_lockstep_peak_positions_are_covered():
     # the cases above hold a top peak at index 0, one at k - 1, and fewer
     # than three local maxima; check those profiles really are so shaped
     cases = _lockstep_cases()
+    omegas = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 512)])
     for name, index in (("lowpass", 0), ("highpass", -1)):
-        s1, s2, kw = cases[name]
-        omegas = np.concatenate(
-            [[0.0], np.geomspace(kw.get("wmin", 1e-6), kw.get("wmax", 1e6), 512)]
-        )
-        vals = np.linalg.norm(frequency_response(s1, omegas), 2, axis=(1, 2))
+        vals = np.linalg.norm(frequency_response(cases[name][0], omegas), 2, axis=(1, 2))
         assert int(np.argmax(vals)) == index % omegas.size
-    s1, _, _ = cases["two-peaks"]
-    vals = np.linalg.norm(
-        frequency_response(s1, np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 512)])),
-        2,
-        axis=(1, 2),
-    )
+    vals = np.linalg.norm(frequency_response(cases["two-peaks"][0], omegas), 2, axis=(1, 2))
     inner = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
     assert 1 <= np.count_nonzero(inner) < 3 and vals[0] < vals[1] and vals[-1] < vals[-2]
 
 
 def test_linf_of_batches_its_refinement(monkeypatch):
-    # the gramians module's name, since the package root's ``gramians`` is the function
-    module = importlib.import_module("stablekit.gramians")
-    response = module.frequency_response
+    response = gramians_module.frequency_response
     orders = []
 
     def counted(system, omegas):
         orders.append(system.n)
         return response(system, omegas)
 
-    monkeypatch.setattr(module, "frequency_response", counted)
+    monkeypatch.setattr(gramians_module, "frequency_response", counted)
     grid = linf_of(_resonant_two_port(1))
     # one seed-grid call plus one per lockstep round (36 here); refining the
     # two peaks one after the other, and sampling the order-0 side as well,
@@ -487,7 +520,7 @@ def test_linf_error_on_an_improper_model_is_sigma1(tmp_path, capsys):
     u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     s = DescriptorSystem(u @ e0 @ v, u @ a0 @ v, u @ b0, c0 @ v)
-    assert transfer_polynomial_part(s).shape[0] == 2
+    assert weierstrass_split(s).coefficients.shape[0] == 2
     res = solve_apinf(s)
     assert res.sigma1 == pytest.approx(1.0, rel=1e-12)
     bracket = (res.sigma1 * (1.0 - 1e-8), res.sigma1 * (1.0 + 1e-8))

@@ -30,7 +30,7 @@ from stablekit import (
     pencil_spectrum,
     solve_ap2,
     solve_apinf,
-    transfer_polynomial_part,
+    weierstrass_split,
 )
 from stablekit.cli import main
 from stablekit.util import default_tol
@@ -171,7 +171,7 @@ def test_nilpotent_index3_meets_the_invariants(seed):
     assert pencil_spectrum(s).n_infinite == 3
     # C (s N - I)^{-1} B = -sum_i s^i C N^i B
     ref = np.stack([-(c_inf @ np.linalg.matrix_power(shift, i) @ b_inf) for i in range(3)])
-    coeffs = transfer_polynomial_part(s)
+    coeffs = weierstrass_split(s).coefficients
     assert coeffs.shape == ref.shape
     assert_allclose(coeffs, ref, rtol=0.0, atol=1e-9 * (1.0 + np.abs(ref).max()))
     assert_invariants(s, hankel_values_standard(*anti))

@@ -1,5 +1,9 @@
-"""The package surface: the names the root re-exports, and the README's library example."""
+"""The package surface: the names the root re-exports, the functions the
+benchmark tracer wraps, and the README's library example."""
 
+import importlib
+import importlib.util
+import inspect
 import re
 import types
 from pathlib import Path
@@ -25,8 +29,24 @@ ROOT_EXPORTS = [
     "random_orthogonal", "random_unstable_system",
     "reduce_singular_svd", "rl2_norm", "rse_transform",
     "save_dsys", "solve_ap2", "solve_apinf", "solve_generalized_sylvester", "svd",
-    "transfer_polynomial_part", "weierstrass_split", "write_dsys",
-    "write_freqresp_csv",
+    "weierstrass_split", "write_dsys", "write_freqresp_csv",
+]
+
+# The benchmark tracer (perfbench/tracer.py) wraps the functions that each of
+# its LAYERS lists in __all__; a name that leaves this list silently reads 0
+# in the per-layer counters, so each removal must be a deliberate edit here.
+TRACED_FUNCTIONS = [
+    "approximation.construct_gamma_system", "approximation.reduce_singular_svd",
+    "approximation.solve_ap2", "approximation.solve_apinf",
+    "cli.cmd_approx", "cli.cmd_freqresp", "cli.cmd_generate", "cli.cmd_verify", "cli.main",
+    "dsysio.load_dsys", "dsysio.parse_dsys", "dsysio.save_dsys", "dsysio.write_dsys",
+    "dsysio.write_freqresp_csv",
+    "gramians.gramians", "gramians.h2_norm_antistable", "gramians.hankel_sigma_max",
+    "gramians.linf_error", "gramians.linf_of", "gramians.rl2_norm",
+    "kernels.pencil_eigendata", "kernels.solve_generalized_sylvester", "kernels.svd",
+    "systems.additive_decompose", "systems.direct_sum", "systems.empty_system",
+    "systems.frequency_response", "systems.negate_output", "systems.pencil_spectrum",
+    "systems.rse_transform", "systems.weierstrass_split",
 ]
 
 
@@ -36,6 +56,20 @@ def test_package_root_exports_are_pinned():
         if not k.startswith("_") and not isinstance(v, types.ModuleType)
     )
     assert names == ROOT_EXPORTS
+
+
+def test_benchmark_tracer_wraps_the_pinned_functions():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = []
+    for layer in tracer.LAYERS:
+        mod = importlib.import_module(f"stablekit.{layer}")
+        names += [
+            f"{layer}.{attr}" for attr in mod.__all__
+            if inspect.isfunction(fn := getattr(mod, attr)) and fn.__module__ == mod.__name__
+        ]
+    assert sorted(names) == TRACED_FUNCTIONS
 
 
 def test_every_exported_error_is_raised_in_the_library():
