@@ -76,6 +76,8 @@ def _norms_report(error_l2: float, grid) -> dict:
     return {
         "error_l2": error_l2,
         "error_linf": grid.max_value,
+        "error_linf_upper": grid.upper,
+        "error_linf_margin": grid.margin,
         "argmax_omega": grid.argmax_omega,
         "profile_min": float(grid.values.min()),
         "profile_max": float(grid.values.max()),
@@ -95,7 +97,8 @@ def cmd_approx(args) -> int:
     if result.error_system is None:
         norms = _error_norms(s, result.system, args.tol)
     else:
-        # G - G_hat = G_minus - G_hat_minus: no response at the input's order
+        # G - G_hat = G_minus - G_hat_minus: no response at the input's order,
+        # and one system, whose L-infinity norm linf_of certifies
         err = result.error_system
         norms = _norms_report(rl2_norm(err, args.tol), linf_of(err, tol=args.tol))
     elapsed = time.perf_counter() - t0

@@ -164,6 +164,15 @@ def _deflate_infinite(t, s, u, v, floor: float, a_floor: float, slack: float) ->
     return k
 
 
+def _empty_form() -> OrderedQz:
+    """The generalized Schur form of the empty pencil."""
+    empty = np.zeros((0, 0))
+    return OrderedQz(
+        u=empty, v=empty, et=empty, at=empty, split=0,
+        alpha=np.zeros(0, dtype=complex), beta=np.zeros(0),
+    )
+
+
 def pencil_eigendata(e, a) -> OrderedQz:
     """Generalized Schur form of the pencil (E, A), finite pairs first.
 
@@ -185,11 +194,7 @@ def pencil_eigendata(e, a) -> OrderedQz:
     if require_square(a, "A") != n:
         raise DimensionMismatch(f"E and A must have equal sizes, got {e.shape} and {a.shape}")
     if n == 0:
-        empty = np.zeros((0, 0))
-        return OrderedQz(
-            u=empty, v=empty, et=empty, at=empty, split=0,
-            alpha=np.zeros(0, dtype=complex), beta=np.zeros(0),
-        )
+        return _empty_form()
     tol = default_tol()
     noise = n * EPS * 32.0 * (fro(e) + fro(a))
     floor = max(tol * fro(e), noise)

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .kernels import (
     OrderedQz,
+    _empty_form,
     _regularity_check,
     pencil_eigendata,
     solve_generalized_sylvester,
@@ -161,12 +162,16 @@ def _mirror(s: DescriptorSystem) -> DescriptorSystem:
 
 
 def empty_system(m: int, p: int, d=None) -> DescriptorSystem:
-    """The order-0 system with constant transfer D (zero when omitted)."""
-    if d is None:
-        d = np.zeros((p, m))
-    return DescriptorSystem(
-        np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)), d
-    )
+    """The order-0 system with constant transfer D (zero when omitted).
+
+    Its pencil is empty, so regular by construction: only D is validated,
+    and no factorization runs.
+    """
+    d = np.zeros((p, m)) if d is None else as_matrix(d, "D")
+    if d.shape != (p, m):
+        raise DimensionMismatch(f"D must be {p}x{m}, got {d.shape}")
+    form = _empty_form()
+    return _known_spectrum(form.et, form.at, np.zeros((0, m)), np.zeros((p, 0)), d, form)
 
 
 def negate_output(s: DescriptorSystem) -> DescriptorSystem:

@@ -190,7 +190,8 @@ def linf_error_sequential(s1, s2, tol=None):
     if value_at_inf > max_value:
         max_value, argmax_omega = float(value_at_inf), math.inf
     return FrequencyGrid(
-        omegas=all_w, values=all_v, argmax_omega=argmax_omega, max_value=max_value
+        omegas=all_w, values=all_v, argmax_omega=argmax_omega, max_value=max_value,
+        upper=math.inf, margin=0.0,
     )
 
 

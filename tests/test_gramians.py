@@ -2,10 +2,13 @@
 
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import stablekit.systems as systems
@@ -395,10 +398,11 @@ def test_linf_error_of_identical_systems_is_zero():
 
 def test_linf_stable_under_grid_refinement(monkeypatch):
     s = random_unstable_system(6, 3, seed=29, m=2, p=2)
+    zero = empty_system(s.m, s.p)
     monkeypatch.setattr(gramians_module, "_SEED_POINTS", 256)
-    coarse = linf_of(s)
+    coarse = linf_error(s, zero)
     monkeypatch.setattr(gramians_module, "_SEED_POINTS", 2048)
-    fine = linf_of(s)
+    fine = linf_error(s, zero)
     assert fine.max_value >= coarse.max_value - 1e-12
     assert fine.max_value - coarse.max_value <= 1e-6 * (1.0 + coarse.max_value)
 
@@ -428,6 +432,75 @@ def test_linf_matches_dense_scan_oracle():
         )
         # the refined search must beat (or equal) a blind dense scan
         assert grid.max_value >= dense - 1e-7 * (1.0 + dense)
+
+
+def _rotation_blocks():
+    # SISO blocks [[-z, w0], [-w0, -z]] with B = [0, g]^T and C = [1, 0]; the
+    # last is a resonance of relative damping 1e-9 at omega = 1021.7, whose
+    # peak of width 1e-6 no sampled grid meets
+    blocks = ((1.0, 0.5, 1.0), (10.0, 5.0, 10.0), (100.0, 50.0, 100.0),
+              (1e4, 5e3, 1e4), (1021.7, 1e-6, 1e-5))
+    a = scipy.linalg.block_diag(*[[[-z, w0], [-w0, -z]] for w0, z, _ in blocks])
+    b = np.vstack([[[0.0], [g]] for _, _, g in blocks])
+    c = np.tile([[1.0, 0.0]], len(blocks))
+    return DescriptorSystem(np.eye(10), a, b, c)
+
+
+def test_linf_of_certifies_a_peak_the_sampled_grid_misses():
+    s = _rotation_blocks()
+    # the sampler reads 3.2298 at omega = 0.503, and a 200,001-point scan of
+    # [1021.6, 1021.8] reads 5.1285
+    assert linf_error(s, empty_system(1, 1)).max_value < 3.3
+    grid = linf_of(s)
+    assert grid.max_value >= 5.1285
+    assert grid.max_value <= grid.upper <= grid.max_value * (1.0 + 1e-10)
+    assert grid.margin > 0.0
+    # the peak, by zooming a 201-point scan in on it from the resonance's width
+    w, half = grid.argmax_omega, 1e-6
+    for _ in range(5):
+        ws = np.linspace(w - half, w + half, 201)
+        vals = [np.linalg.norm(eval_transfer_np(s, 1j * x), 2) for x in ws]
+        w, half, peak = ws[int(np.argmax(vals))], half / 20.0, max(vals)
+    assert peak <= grid.upper
+    assert grid.max_value == pytest.approx(peak, rel=1e-10)
+
+
+def _index1_system(rng, n, m, p):
+    # finite blocks of both signs plus a 2 x 2 index-1 block (E = 0, A = I),
+    # mixed by orthogonal factors: a constant added to the feedthrough
+    a_f = random_unstable_system(n, int(rng.integers(0, n + 1)), seed=rng).a
+    e0 = scipy.linalg.block_diag(np.eye(n), np.zeros((2, 2)))
+    a0 = scipy.linalg.block_diag(a_f, np.eye(2))
+    u, v = random_orthogonal(rng, n + 2), random_orthogonal(rng, n + 2)
+    b, c = rng.standard_normal((n + 2, m)), rng.standard_normal((p, n + 2))
+    return DescriptorSystem(u @ e0 @ v, u @ a0 @ v, u @ b, c @ v, rng.standard_normal((p, m)))
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["stable", "antistable", "mixed", "index-1"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    m=st.integers(1, 2),
+    p=st.integers(1, 2),
+)
+def test_linf_of_upper_bounds_every_sample(kind, seed, n, m, p):
+    rng = np.random.default_rng(seed)
+    if kind == "index-1":
+        s = _index1_system(rng, n, m, p)
+    else:
+        unstable = {"stable": 0, "antistable": n, "mixed": int(rng.integers(1, n + 1))}[kind]
+        s = random_unstable_system(n, unstable, seed=rng, m=m, p=p, descriptor=n % 2 == 1)
+    grid = linf_of(s)
+    assert grid.max_value <= grid.upper < math.inf
+    assert grid.margin > 0.0
+    omegas = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 20000)])
+    x = np.linalg.solve(1j * omegas[:, None, None] * s.e - s.a, s.b[None])
+    dense = np.linalg.norm(s.c @ x + s.d, 2, axis=(1, 2)).max()
+    sampled = linf_error(s, empty_system(m, p)).max_value
+    assert max(dense, sampled) <= grid.upper * (1.0 + 1e-12)
+    # the best sample is the norm to within the level test's gap
+    assert grid.max_value >= max(dense, sampled) * (1.0 - 1e-10)
 
 
 def _resonant_two_port(seed):
@@ -499,8 +572,8 @@ def test_linf_of_batches_its_refinement(monkeypatch):
         return response(system, omegas)
 
     monkeypatch.setattr(gramians_module, "frequency_response", counted)
-    grid = linf_of(_resonant_two_port(1))
-    # one seed-grid call plus one per lockstep round (36 here); refining the
+    grid = linf_error(_resonant_two_port(1), empty_system(2, 2))
+    # one seed-grid call plus one per lockstep round (35 here); refining the
     # two peaks one after the other, and sampling the order-0 side as well,
     # takes 146
     assert len(orders) <= 40

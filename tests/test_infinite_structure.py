@@ -27,6 +27,7 @@ from stablekit import (
     StablekitError,
     additive_decompose,
     linf_error,
+    linf_of,
     pencil_spectrum,
     solve_ap2,
     solve_apinf,
@@ -87,6 +88,13 @@ def assert_invariants(s, hsv, rtol=1e-7, check_order=True):
     grid = linf_error(s, r.system)
     slack = max(rtol, 1e-6)
     assert r.sigma1 * (1.0 - slack) <= grid.max_value <= r.gamma_used * (1.0 + slack)
+    assert_brackets(linf_of(r.error_system), grid.max_value, slack)
+
+
+def assert_brackets(cert, sampled, slack=1e-6):
+    """The certified bracket of the error system holds the full models' sampled error."""
+    assert cert.max_value <= cert.upper
+    assert cert.max_value * (1.0 - slack) <= sampled <= cert.upper * (1.0 + slack)
 
 
 def mixed_system(rng, e_inf, a_inf, n_stable=4, n_anti=3, ports=2):
@@ -265,6 +273,7 @@ def test_eigenvalue_c_tol_from_the_axis(c):
     assert r.system.n == s.n - hankel_multiplicity(hsv)
     grid = linf_error(s, r.system)
     assert r.sigma1 * (1.0 - 1e-6) <= grid.max_value <= r.gamma_used * (1.0 + 1e-6)
+    assert_brackets(linf_of(r.error_system), grid.max_value)
 
 
 SPLITS = (0.0, 1e-14, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3)

@@ -320,6 +320,16 @@ def test_cli_approx_nehari_report(nehari_file, tmp_path):
     assert_allclose(eval_transfer_np(approx, 3.0j), [[-0.5]], atol=1e-10)
 
 
+def test_cli_approx_hinf_stable_input_certifies_a_zero_error(tmp_path):
+    src, out = tmp_path / "stable.dsys", tmp_path / "kept.dsys"
+    save_dsys(src, random_unstable_system(3, 0, seed=21))
+    proc = run_cli("approx", src, "--norm", "hinf", "-o", out)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error_linf"] == 0.0
+    assert report["error_linf_upper"] == 0.0
+
+
 def test_cli_approx_h2_stable_input(tmp_path):
     s = random_unstable_system(3, 0, seed=21)
     src = tmp_path / "stable.dsys"
@@ -588,3 +598,5 @@ def test_cli_approx_hinf_norms_come_from_the_antistable_error(
     assert np.isinf(approx["error_l2"]) == (factor is None)
     for key in ("error_linf", "error_l2"):
         assert approx[key] == pytest.approx(verify[key], rel=1e-10)
+    assert approx["error_linf"] <= approx["error_linf_upper"] <= approx["gamma"] * (1.0 + 1e-6)
+    assert approx["error_linf_margin"] > 0.0

@@ -99,12 +99,19 @@ def test_construction_rejects_singular_pencil():
         DescriptorSystem(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.ones((2, 1)), np.ones((1, 2)))
 
 
-def test_construction_default_feedthrough_and_empty():
+def test_construction_default_feedthrough_and_empty(monkeypatch):
     s = scalar_system(1.0, 1.0, 1.0, 1.0)
     assert_allclose(s.d, [[0.0]])
+    # an empty pencil is regular by construction: no factorization runs
+    monkeypatch.setattr(systems, "pencil_eigendata", None)
     s0 = empty_system(2, 3, np.ones((3, 2)))
     assert s0.n == 0 and s0.m == 2 and s0.p == 3
     assert_allclose(transfer_eval(s0, 1.0j), np.ones((3, 2)), atol=1e-15)
+    assert empty_system(2, 3).d.shape == (3, 2)
+    with pytest.raises(DimensionMismatch):
+        empty_system(2, 3, np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        empty_system(1, 1, [[1j]])
 
 
 def test_system_arrays_immutable():
