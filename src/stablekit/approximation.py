@@ -20,7 +20,8 @@ part S_plus and an antistable part S_minus. Then:
   carries a removable non-dynamic part that one orthogonal transformation,
   taken from the SVD of A_gamma, eliminates, reducing the order below n
   while preserving optimality. One rule selects that step at every level:
-  reduce exactly when A_gamma's numeric rank is below n.
+  reduce exactly when A_gamma's numeric rank (singular values above
+  ``util.TOL`` times the largest) is below n.
 
 Because G_hat = G_plus + G_hat_minus, the L-infinity error G - G_hat equals
 G_minus - G_hat_minus, which is sigma_1 times an all-pass at the optimum
@@ -60,7 +61,7 @@ from .systems import (
     pencil_spectrum,
     weierstrass_split,
 )
-from .util import default_tol, fro
+from .util import TOL, fro
 
 __all__ = [
     "Branch",
@@ -120,23 +121,22 @@ class ApproxResult:
 # L2
 
 
-def solve_ap2(s: DescriptorSystem, tol: float | None = None) -> ApproxResult:
+def solve_ap2(s: DescriptorSystem) -> ApproxResult:
     """Best stable L2 approximation: the stable part of the decomposition.
 
     The reported error is the L2 norm of the antistable part; any other
     optimal solution realizes the same transfer function.
     """
-    tol = default_tol(tol)
-    dec = additive_decompose(s, tol)
+    dec = additive_decompose(s)
     diagnostics: dict[str, Any] = {}
     if dec.s_minus.n == 0:
         sigma1 = 0.0
         diagnostics["error_l2"] = 0.0
     else:
-        gr = gramians(dec.s_minus, tol)
-        hank = hankel_sigma_max(dec.s_minus, gr, tol)
+        gr = gramians(dec.s_minus)
+        hank = hankel_sigma_max(dec.s_minus, gr)
         sigma1 = hank.sigma1
-        diagnostics["error_l2"] = h2_norm_antistable(dec.s_minus, gr, tol)
+        diagnostics["error_l2"] = h2_norm_antistable(dec.s_minus, gr)
         diagnostics["gramian_residual_c"] = gr.residual_c
         diagnostics["gramian_residual_o"] = gr.residual_o
     return ApproxResult(
@@ -154,11 +154,7 @@ def solve_ap2(s: DescriptorSystem, tol: float | None = None) -> ApproxResult:
 
 
 def construct_gamma_system(
-    s_minus: DescriptorSystem,
-    gr: GramianPair,
-    gamma: float,
-    sigma1: float,
-    tol: float | None = None,
+    s_minus: DescriptorSystem, gr: GramianPair, gamma: float, sigma1: float
 ) -> GammaSystem:
     """Assemble the balance-free approximant matrices at level gamma.
 
@@ -167,7 +163,6 @@ def construct_gamma_system(
     a 1e-12 relative slack); for gamma > sigma_1 strictly the resulting A
     matrix is provably regular.
     """
-    tol = default_tol(tol)
     gamma = float(gamma)
     if gamma < sigma1 * (1.0 - 1e-12):
         raise GammaTooSmall(
@@ -180,7 +175,7 @@ def construct_gamma_system(
     b_g = e.T @ gr.xo @ b
     c_g = c @ gr.xc @ e.T
     a_g = -a.T @ r_g - c.T @ c_g
-    a_svd = svd(a_g, tol)
+    a_svd = svd(a_g)
     return GammaSystem(
         e_g=e_g,
         a_g=a_g,
@@ -197,7 +192,7 @@ def construct_gamma_system(
 # Singular-branch reduction
 
 
-def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> DescriptorSystem:
+def reduce_singular_svd(gs: GammaSystem) -> DescriptorSystem:
     """Eliminate the non-dynamic part of a singular gamma system via SVD.
 
     Orthogonal U, V from the SVD of A_gamma (``gs.a_svd``, computed once when
@@ -208,7 +203,6 @@ def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> Descriptor
     Returns the leading subsystem with the source feedthrough reattached.
     Raises ValueError when A_gamma has full numeric rank.
     """
-    tol = default_tol(tol)
     rank = gs.a_svd.numeric_rank
     if rank == gs.a_g.shape[0]:
         raise ValueError(
@@ -223,7 +217,7 @@ def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> Descriptor
     et = u_t @ gs.e_g @ v
     bt = u_t @ gs.b_g
     ct = gs.c_g @ v
-    bound = tol * max(1.0, fro(gs.e_g), fro(gs.a_g), fro(gs.b_g))
+    bound = TOL * max(1.0, fro(gs.e_g), fro(gs.a_g), fro(gs.b_g))
     for name, block in (("A", at), ("E", et), ("B", bt)):
         err = fro(block[rank:, :])
         if err > bound:
@@ -240,11 +234,7 @@ def reduce_singular_svd(gs: GammaSystem, tol: float | None = None) -> Descriptor
 # Top-level L-infinity solver
 
 
-def solve_apinf(
-    s: DescriptorSystem,
-    gamma_factor: float | None = None,
-    tol: float | None = None,
-) -> ApproxResult:
+def solve_apinf(s: DescriptorSystem, gamma_factor: float | None = None) -> ApproxResult:
     """Best (or gamma-suboptimal) stable L-infinity approximation.
 
     With ``gamma_factor`` None the optimal level gamma = sigma_1 is used;
@@ -258,10 +248,9 @@ def solve_apinf(
     Then reattach the stable part. The ``sigma1_multiplicity`` diagnostic
     counts the antistable states these two steps removed.
     """
-    tol = default_tol(tol)
     if gamma_factor is not None and not 1.0 < gamma_factor < math.inf:
         raise ValueError(f"gamma_factor must be finite and exceed 1, got {gamma_factor!r}")
-    dec = additive_decompose(s, tol)
+    dec = additive_decompose(s)
     diagnostics: dict[str, Any] = {}
     if dec.s_minus.n == 0:
         diagnostics["note"] = "input already stable; returned unchanged"
@@ -274,17 +263,17 @@ def solve_apinf(
             error_system=dec.s_minus,
         )
 
-    gr = gramians(dec.s_minus, tol)
-    sigma1 = hankel_sigma_max(dec.s_minus, gr, tol).sigma1
+    gr = gramians(dec.s_minus)
+    sigma1 = hankel_sigma_max(dec.s_minus, gr).sigma1
     gamma = sigma1 if gamma_factor is None else gamma_factor * sigma1
-    gs = construct_gamma_system(dec.s_minus, gr, gamma, sigma1, tol)
+    gs = construct_gamma_system(dec.s_minus, gr, gamma, sigma1)
     if gs.a_svd.numeric_rank == dec.s_minus.n:
         approx_minus = DescriptorSystem(gs.e_g, gs.a_g, gs.b_g, gs.c_g, dec.s_minus.d)
         branch = Branch.REGULAR
     else:
-        approx_minus = reduce_singular_svd(gs, tol)
+        approx_minus = reduce_singular_svd(gs)
         branch = Branch.SINGULAR_SVD
-    ws = weierstrass_split(approx_minus, tol)
+    ws = weierstrass_split(approx_minus)
     if ws.coefficients.shape[0] == 1:
         approx_minus = ws.finite
     sv = gs.a_svd.singular_values
@@ -297,7 +286,7 @@ def solve_apinf(
     )
 
     system = direct_sum(dec.s_plus, approx_minus)
-    rep = pencil_spectrum(system, tol)
+    rep = pencil_spectrum(system)
     if rep.stability_class is not StabilityClass.STABLE:
         raise SpectrumViolation(
             "assembled approximant failed the stability check "

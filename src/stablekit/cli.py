@@ -42,8 +42,8 @@ from .systems import (
 __all__ = ["main", "cmd_approx", "cmd_generate", "cmd_verify", "cmd_freqresp"]
 
 
-def _input_summary(s: DescriptorSystem, tol: float | None) -> dict:
-    rep = pencil_spectrum(s, tol)
+def _input_summary(s: DescriptorSystem) -> dict:
+    rep = pencil_spectrum(s)
     unstable = rep.finite_eigenvalues[rep.finite_eigenvalues.real > 0.0]
     return {
         "order": s.n,
@@ -64,11 +64,10 @@ def _emit(report: dict) -> None:
     print(json.dumps(report))
 
 
-def _error_norms(original: DescriptorSystem, approx: DescriptorSystem, tol):
+def _error_norms(original: DescriptorSystem, approx: DescriptorSystem):
     """Error norms of G - G_hat from the two full models."""
     return _norms_report(
-        rl2_norm(direct_sum(original, negate_output(approx)), tol),
-        linf_error(original, approx, tol=tol),
+        rl2_norm(direct_sum(original, negate_output(approx))), linf_error(original, approx)
     )
 
 
@@ -90,22 +89,22 @@ def cmd_approx(args) -> int:
     s = load_dsys(args.input)
     t0 = time.perf_counter()
     if args.norm == "h2":
-        result = solve_ap2(s, args.tol)
+        result = solve_ap2(s)
     else:
-        result = solve_apinf(s, gamma_factor=args.gamma_factor, tol=args.tol)
+        result = solve_apinf(s, gamma_factor=args.gamma_factor)
     save_dsys(args.output, result.system)
     if result.error_system is None:
-        norms = _error_norms(s, result.system, args.tol)
+        norms = _error_norms(s, result.system)
     else:
         # G - G_hat = G_minus - G_hat_minus: no response at the input's order,
         # and one system, whose L-infinity norm linf_of certifies
         err = result.error_system
-        norms = _norms_report(rl2_norm(err, args.tol), linf_of(err, tol=args.tol))
+        norms = _norms_report(rl2_norm(err), linf_of(err))
     elapsed = time.perf_counter() - t0
     report = {
         "command": "approx",
         "norm": args.norm,
-        "input": _input_summary(s, args.tol),
+        "input": _input_summary(s),
         "sigma1": result.sigma1,
         "gamma": result.gamma_used,
         "branch": result.branch.value if result.branch is not None else None,
@@ -129,7 +128,7 @@ def cmd_generate(args) -> int:
         "command": "generate",
         "seed": args.seed,
         "descriptor": args.descriptor,
-        "output": {"path": args.output, **_input_summary(s, None)},
+        "output": {"path": args.output, **_input_summary(s)},
     }
     _emit(report)
     return 0
@@ -138,13 +137,13 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     original = load_dsys(args.original)
     approx = load_dsys(args.approximant)
-    rep = pencil_spectrum(approx, args.tol)
+    rep = pencil_spectrum(approx)
     stable = rep.stability_class is StabilityClass.STABLE
     report = {
         "command": "verify",
         "norm": args.norm,
-        "original": _input_summary(original, args.tol),
-        "approximant": _input_summary(approx, args.tol),
+        "original": _input_summary(original),
+        "approximant": _input_summary(approx),
         "stable": stable,
     }
     if not stable:
@@ -154,7 +153,7 @@ def cmd_verify(args) -> int:
         )
         _emit(report)
         return 4
-    report.update(_error_norms(original, approx, args.tol))
+    report.update(_error_norms(original, approx))
     _emit(report)
     return 0
 
@@ -166,15 +165,15 @@ def cmd_freqresp(args) -> int:
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     s = load_dsys(args.input)
-    band = _default_band(s, tol=args.tol)
+    band = _default_band(s)
     wmin = args.wmin if args.wmin is not None else band[0]
     wmax = args.wmax if args.wmax is not None else band[1]
     if wmin < 0 or wmax <= wmin:
         raise ValueError(f"need 0 <= wmin < wmax, got [{wmin}, {wmax}]")
     if wmin == 0.0:
-        omegas = np.concatenate(
-            [[0.0], np.geomspace(wmax * 1e-9, wmax, args.points - 1)]
-        )
+        omegas = np.concatenate([[0.0], np.geomspace(wmax * 1e-9, wmax, args.points - 1)])
+        # a one-point geomspace is its start point, not its end point
+        omegas[-1] = wmax
     else:
         omegas = np.geomspace(wmin, wmax, args.points)
     responses = frequency_response(s, omegas)
@@ -184,7 +183,7 @@ def cmd_freqresp(args) -> int:
     _emit(
         {
             "command": "freqresp",
-            "input": _input_summary(s, args.tol),
+            "input": _input_summary(s),
             "points": int(omegas.size),
             "wmin": float(omegas[0]),
             "wmax": float(omegas[-1]),
@@ -219,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="suboptimal level gamma = F * sigma_1 (F > 1); omit for optimal",
     )
-    p_approx.add_argument("--tol", type=float, default=None)
     p_approx.add_argument("-o", "--output", required=True, help="output DSYS file")
 
     p_gen = sub.add_parser("generate", help="write a random unstable model")
@@ -233,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("original")
     p_verify.add_argument("approximant")
     p_verify.add_argument("--norm", choices=("h2", "hinf"), required=True)
-    p_verify.add_argument("--tol", type=float, default=None)
 
     p_freq = sub.add_parser("freqresp", help="sample the frequency response")
     p_freq.add_argument("input")
@@ -242,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_freq.add_argument(
         "--points", type=int, default=200, help="number of frequencies (at least 2)"
     )
-    p_freq.add_argument("--tol", type=float, default=None)
     p_freq.add_argument("-o", "--output", required=True)
     return parser
 

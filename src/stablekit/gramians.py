@@ -40,7 +40,7 @@ from .systems import (
     pencil_spectrum,
     weierstrass_split,
 )
-from .util import EPS, default_tol, fro
+from .util import EPS, TOL, fro
 
 __all__ = [
     "GramianPair",
@@ -97,7 +97,7 @@ def _schur_realization(s: DescriptorSystem) -> tuple[np.ndarray, np.ndarray]:
     return f_m[:, : s.n], f_m[:, s.n :]
 
 
-def gramians(s: DescriptorSystem, tol: float | None = None) -> GramianPair:
+def gramians(s: DescriptorSystem) -> GramianPair:
     """Solve both generalized Lyapunov equations of an antistable system.
 
     Bartels-Stewart on the stored generalized Schur form U E V = T,
@@ -108,8 +108,7 @@ def gramians(s: DescriptorSystem, tol: float | None = None) -> GramianPair:
         F Y + Y F^T = -G G^T,  G = T^{-1} U B,  Xc = V Y V^T;
         F^T W + W F = -H^T H,  H = C V,         Xo = M^T W M,  M = T^{-1} U.
     """
-    tol = default_tol(tol)
-    rep = pencil_spectrum(s, tol)
+    rep = pencil_spectrum(s)
     if rep.stability_class is not StabilityClass.ANTISTABLE:
         raise SpectrumViolation(
             "Gramians are defined here only for antistable systems; "
@@ -148,9 +147,7 @@ class HankelData:
     spectrum: np.ndarray
 
 
-def hankel_sigma_max(
-    s: DescriptorSystem, gr: GramianPair, tol: float | None = None
-) -> HankelData:
+def hankel_sigma_max(s: DescriptorSystem, gr: GramianPair) -> HankelData:
     """sigma_1 = sqrt(max eig(Xc E^T Xo E)) via a symmetrized product.
 
     When -Xc is (numerically) positive semidefinite the eigenvalues are
@@ -159,13 +156,12 @@ def hankel_sigma_max(
     the theory guarantees; otherwise falls back to the direct nonsymmetric
     eigensolve with real-part clamping.
     """
-    tol = default_tol(tol)
     n = s.n
     if n == 0:
         return HankelData(sigma1=0.0, spectrum=np.zeros(0))
-    neg_floor = tol * max(fro(gr.xc) * fro(gr.xo), 1.0)
+    neg_floor = TOL * max(fro(gr.xc) * fro(gr.xo), 1.0)
     wc, vc = np.linalg.eigh(0.5 * (-(gr.xc) + -(gr.xc).T))
-    if wc.min() >= -tol * max(1.0, wc.max(initial=0.0)):
+    if wc.min() >= -TOL * max(1.0, wc.max(initial=0.0)):
         root = (vc * np.sqrt(np.clip(wc, 0.0, None))) @ vc.T
         core = root @ s.e.T @ (-gr.xo) @ s.e @ root
         mu = np.linalg.eigvalsh(0.5 * (core + core.T))
@@ -186,12 +182,9 @@ def hankel_sigma_max(
 # L2 norm
 
 
-def h2_norm_antistable(
-    s: DescriptorSystem, gr: GramianPair, tol: float | None = None
-) -> float:
+def h2_norm_antistable(s: DescriptorSystem, gr: GramianPair) -> float:
     """L2 norm of a strictly proper antistable transfer: sqrt(tr(C (-Xc) C^T))."""
-    tol = default_tol(tol)
-    if fro(s.d) > tol:
+    if fro(s.d) > TOL:
         raise NonzeroFeedthrough(
             "the L2 norm is infinite for nonzero feedthrough "
             f"(||D|| = {fro(s.d):.3e})"
@@ -200,7 +193,7 @@ def h2_norm_antistable(
     return math.sqrt(max(val, 0.0))
 
 
-def rl2_norm(s: DescriptorSystem, tol: float | None = None) -> float:
+def rl2_norm(s: DescriptorSystem) -> float:
     """L2 norm of an arbitrary axis-pole-free transfer; inf when unbounded.
 
     Finite exactly when the response vanishes at infinity, which the
@@ -209,19 +202,18 @@ def rl2_norm(s: DescriptorSystem, tol: float | None = None) -> float:
     part (they are orthogonal in L2), and the stable half is evaluated
     through its mirror G_plus(-s), which is antistable with the same norm.
     """
-    tol = default_tol(tol)
-    ws = weierstrass_split(s, tol)
+    ws = weierstrass_split(s)
     coeffs = ws.coefficients
-    feed_scale = tol * (1.0 + fro(s.b) * fro(s.c) + fro(s.d))
+    feed_scale = TOL * (1.0 + fro(s.b) * fro(s.c) + fro(s.d))
     if coeffs.shape[0] > 1 or fro(coeffs[0]) > feed_scale:
         return float("inf")
-    dec = additive_decompose(ws.finite, tol)
+    dec = additive_decompose(ws.finite)
     total = 0.0
     if dec.s_minus.n > 0:
-        total += h2_norm_antistable(dec.s_minus, gramians(dec.s_minus, tol), tol) ** 2
+        total += h2_norm_antistable(dec.s_minus, gramians(dec.s_minus)) ** 2
     if dec.s_plus.n > 0:
-        flip = additive_decompose(_mirror(dec.s_plus), tol).s_minus
-        total += h2_norm_antistable(flip, gramians(flip, tol), tol) ** 2
+        flip = additive_decompose(_mirror(dec.s_plus)).s_minus
+        total += h2_norm_antistable(flip, gramians(flip)) ** 2
     return math.sqrt(total)
 
 
@@ -258,7 +250,7 @@ def _spectral_norms(g: np.ndarray) -> np.ndarray:
     return np.linalg.svd(g, compute_uv=False)[:, 0]
 
 
-def _default_band(*systems: DescriptorSystem, tol: float | None = None) -> tuple[float, float]:
+def _default_band(*systems: DescriptorSystem) -> tuple[float, float]:
     """The frequency band [1e-6 rho, 1e6 rho] around the systems' pole scale.
 
     rho is the largest magnitude of a finite pole, floored at 1, so the band
@@ -266,13 +258,13 @@ def _default_band(*systems: DescriptorSystem, tol: float | None = None) -> tuple
     """
     rho = 1.0
     for s in systems:
-        fin = pencil_spectrum(s, tol).finite_eigenvalues
+        fin = pencil_spectrum(s).finite_eigenvalues
         if fin.size:
             rho = max(rho, float(np.abs(fin).max()))
     return 1e-6 * rho, 1e6 * rho
 
 
-def _difference_at_infinity(c1: np.ndarray, c2: np.ndarray, tol: float) -> float:
+def _difference_at_infinity(c1: np.ndarray, c2: np.ndarray) -> float:
     """Spectral norm of G1 - G2 at infinity; inf when the difference is unbounded.
 
     ``c1``/``c2`` are the polynomial coefficients of G1, G2.
@@ -285,7 +277,7 @@ def _difference_at_infinity(c1: np.ndarray, c2: np.ndarray, tol: float) -> float
     pad2[: c2.shape[0]] = c2
     diff = pad1 - pad2
     for i in range(1, length):
-        bound = tol * (1.0 + fro(pad1[i]) + fro(pad2[i]))
+        bound = TOL * (1.0 + fro(pad1[i]) + fro(pad2[i]))
         if fro(diff[i]) > bound:
             return float("inf")
     if p == 0 or m == 0:
@@ -368,9 +360,7 @@ _SEED_POINTS = 512
 _RELTOL = 1e-8
 
 
-def linf_error(
-    s1: DescriptorSystem, s2: DescriptorSystem, tol: float | None = None
-) -> FrequencyGrid:
+def linf_error(s1: DescriptorSystem, s2: DescriptorSystem) -> FrequencyGrid:
     """Sampled L-infinity norm of the difference G1 - G2.
 
     Seeds a log grid of ``_SEED_POINTS`` points from 1e-6 to 1e6 times the
@@ -389,15 +379,14 @@ def linf_error(
     certificate: ``upper`` is inf. Raises NonFiniteSample if any sample at
     finite omega is not finite.
     """
-    tol = default_tol(tol)
     if s1.m != s2.m or s1.p != s2.p:
         raise SpectrumViolation(
             "error norm needs matching input/output counts, got "
             f"({s1.m},{s1.p}) and ({s2.m},{s2.p})"
         )
-    wmin, wmax = _default_band(s1, s2, tol=tol)
-    split1, split2 = weierstrass_split(s1, tol), weierstrass_split(s2, tol)
-    value_at_inf = _difference_at_infinity(split1.coefficients, split2.coefficients, tol)
+    wmin, wmax = _default_band(s1, s2)
+    split1, split2 = weierstrass_split(s1), weierstrass_split(s2)
+    value_at_inf = _difference_at_infinity(split1.coefficients, split2.coefficients)
     omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, _SEED_POINTS)])
 
     vals = _response_norms(omegas, split1.finite, split2.finite)
@@ -449,7 +438,7 @@ def linf_error(
 # At the level test's smallest gap the passing tests' margins were at least
 # 1.9e-7 on the benchmark's error systems, and 5e-12 on the resonance.
 # Eigenvalues on the axis came out of the unstructured eigensolver with
-# |Re lambda| / (1 + |lambda|) up to 1e-10, so _AXIS_BAND alone would pass
+# |Re lambda| / (1 + |lambda|) up to 10^-10, so _AXIS_BAND alone would pass
 # some levels below the norm; the samples at the near-axis frequencies
 # refute those, since between two true crossings at level gamma the
 # response exceeds gamma.
@@ -484,7 +473,7 @@ def _hamiltonian(f, g, h, d, gamma: float) -> np.ndarray:
     return np.block([[a_h, g @ x[:, n:]], [-(h.T @ h) - (h.T @ d) @ x[:, :n], -a_h.T]])
 
 
-def linf_of(s: DescriptorSystem, tol: float | None = None) -> FrequencyGrid:
+def linf_of(s: DescriptorSystem) -> FrequencyGrid:
     """Certified L-infinity norm of one transfer function: [max_value, upper].
 
     Splits at infinity as ``linf_error`` does: an improper G has norm inf,
@@ -506,10 +495,9 @@ def linf_of(s: DescriptorSystem, tol: float | None = None) -> FrequencyGrid:
     its roundoff to resolve, the bracket is good to that roundoff only.
     Raises NonFiniteSample when a sample sits on a pole.
     """
-    tol = default_tol(tol)
-    split = weierstrass_split(s, tol)
+    split = weierstrass_split(s)
     finite = split.finite
-    value_at_inf = _difference_at_infinity(split.coefficients, np.zeros((1, s.p, s.m)), tol)
+    value_at_inf = _difference_at_infinity(split.coefficients, np.zeros((1, s.p, s.m)))
     if finite.n == 0 or s.p == 0 or s.m == 0:
         # G is a constant plus its polynomial part: the norm is exact
         all_w, all_v, argmax_omega, max_value = _best(
@@ -519,7 +507,7 @@ def linf_of(s: DescriptorSystem, tol: float | None = None) -> FrequencyGrid:
             omegas=all_w, values=all_v, argmax_omega=argmax_omega, max_value=max_value,
             upper=max_value, margin=math.inf if math.isfinite(max_value) else 0.0,
         )
-    poles = pencil_spectrum(finite, tol).finite_eigenvalues
+    poles = pencil_spectrum(finite).finite_eigenvalues
     omegas = [np.unique(np.concatenate([[0.0], np.abs(poles)]))]
     values = [_response_norms(omegas[0], finite)]
     upper, margin = math.inf, 0.0

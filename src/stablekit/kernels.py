@@ -5,11 +5,11 @@ Schur forms, SVD) behind the contracts the rest of the package relies on,
 and solves, on the diagonal blocks of a generalized Schur form and with no
 factorization of its own, the coupled generalized Sylvester equation that
 block-diagonalizes that form. Which eigenvalues of a pencil are infinite
-is decided once, by rank decisions on E, when ``pencil_eigendata`` builds
-the generalized Schur form: the infinite pairs go last, with beta exactly
-0. Where the finite ones lie is read in ``systems``, which also reorders a
-system's stored form; the Gramians' Lyapunov equations are solved in
-``gramians``, on that stored form.
+is decided once, by rank decisions on E against ``util.TOL``, when
+``pencil_eigendata`` builds the generalized Schur form: the infinite pairs
+go last, with beta exactly 0. Where the finite ones lie is read in
+``systems``, which also reorders a system's stored form; the Gramians'
+Lyapunov equations are solved in ``gramians``, on that stored form.
 
 All operations are pure functions over immutable inputs.
 """
@@ -28,7 +28,7 @@ from .errors import (
     NoUniqueSolution,
     SingularPencil,
 )
-from .util import EPS, as_matrix, default_tol, fro, require_square
+from .util import EPS, TOL, as_matrix, fro, require_square
 
 __all__ = [
     "OrderedQz",
@@ -68,7 +68,7 @@ class SvdResult:
     """Singular value decomposition M = U diag(s) V^T with a numeric rank.
 
     ``u`` and ``v`` are full square orthogonal factors; ``numeric_rank``
-    counts singular values above ``tol * s[0]``.
+    counts singular values above ``TOL * s[0]``.
     """
 
     u: np.ndarray
@@ -81,17 +81,20 @@ class SvdResult:
 # Pencil eigenvalue extraction and regularity
 
 
+def _noise_floor(e: np.ndarray, a: np.ndarray) -> float:
+    """The roundoff level of the pencil (E, A): 32 n eps (||E||_F + ||A||_F)."""
+    return e.shape[0] * EPS * 32.0 * (fro(e) + fro(a))
+
+
 def _regularity_check(alpha: np.ndarray, beta: np.ndarray, e: np.ndarray, a: np.ndarray) -> None:
     """Declare the pencil singular when a QZ diagonal pair is doubly tiny.
 
-    Criterion: some (ett, att) with max(|ett|, |att|) <= tol * (||E||_F + ||A||_F),
-    tol = n * eps * 32.
+    Criterion: some (ett, att) with max(|ett|, |att|) at or below
+    ``_noise_floor(e, a)``.
     """
-    n = e.shape[0]
-    if n == 0:
+    if e.shape[0] == 0:
         return
-    scale = fro(e) + fro(a)
-    thresh = n * EPS * 32.0 * scale
+    thresh = _noise_floor(e, a)
     tiny = np.maximum(np.abs(alpha), np.abs(beta)) <= thresh
     if tiny.any():
         raise SingularPencil(
@@ -177,8 +180,8 @@ def pencil_eigendata(e, a) -> OrderedQz:
     """Generalized Schur form of the pencil (E, A), finite pairs first.
 
     Which eigenvalues are infinite is decided here, once, by rank decisions
-    on E: singular values at or below max(tol ||E||_F, 32 n eps (||E||_F +
-    ||A||_F)) count as zero, at the default tol. When E is exactly the
+    on E: singular values at or below max(TOL ||E||_F, ``_noise_floor``)
+    count as zero. When E is exactly the
     identity and that floor is below 1, its singular values, all 1, need no
     SVD, and the form is one real Schur form Z^T A Z = S by LAPACK ``gees``,
     at a fraction of the cost of QZ: U = Z^T, V = Z, T = I and beta = 1.
@@ -195,9 +198,8 @@ def pencil_eigendata(e, a) -> OrderedQz:
         raise DimensionMismatch(f"E and A must have equal sizes, got {e.shape} and {a.shape}")
     if n == 0:
         return _empty_form()
-    tol = default_tol()
-    noise = n * EPS * 32.0 * (fro(e) + fro(a))
-    floor = max(tol * fro(e), noise)
+    noise = _noise_floor(e, a)
+    floor = max(TOL * fro(e), noise)
     if floor < 1.0 and np.array_equal(e, np.eye(n)):
         at, v, alpha = _real_schur(a)
         et, u, beta, k = e, v.T, np.ones(n), n
@@ -207,7 +209,7 @@ def pencil_eigendata(e, a) -> OrderedQz:
     else:
         et, at, u, v = e.copy(), a.copy(), np.eye(n), np.eye(n)
         k = _deflate_infinite(
-            et, at, u, v, floor, max(tol * fro(a), noise), math.sqrt(tol) * fro(a)
+            et, at, u, v, floor, max(TOL * fro(a), noise), math.sqrt(TOL) * fro(a)
         )
         alpha, beta = at.diagonal().astype(complex), np.zeros(n)
         if k:
@@ -223,7 +225,7 @@ def pencil_eigendata(e, a) -> OrderedQz:
 # Coupled Sylvester equation
 
 
-def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None):
+def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2):
     """Solve the coupled pair A1 R - L A3 = -A2 and E1 R - L E3 = -E2.
 
     (A1, E1) and (A3, E3) must be diagonal blocks of a real generalized
@@ -233,7 +235,6 @@ def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None
     memory. The residual is checked on the input, so blocks that break
     the contract, or spectra that are not disjoint, raise NoUniqueSolution.
     """
-    tol = default_tol(tol)
     a1 = as_matrix(a1, "A1")
     a3 = as_matrix(a3, "A3")
     e1 = as_matrix(e1, "E1")
@@ -266,7 +267,7 @@ def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None
     r = r / scale
     m_l = m_l / scale
 
-    bound = tol * (fro(a2) + fro(e2) + 1.0)
+    bound = TOL * (fro(a2) + fro(e2) + 1.0)
     res_a = fro(a1 @ r - m_l @ a3 + a2)
     res_e = fro(e1 @ r - m_l @ e3 + e2)
     if res_a > bound or res_e > bound:
@@ -283,9 +284,8 @@ def solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol: float | None = None
 # SVD
 
 
-def svd(m, tol: float | None = None) -> SvdResult:
-    """Full SVD M = U diag(s) V^T with a tolerance-relative numeric rank."""
-    tol = default_tol(tol)
+def svd(m) -> SvdResult:
+    """Full SVD M = U diag(s) V^T with a numeric rank relative to ``TOL``."""
     m = as_matrix(m, "M")
     if m.size == 0:
         return SvdResult(
@@ -298,5 +298,5 @@ def svd(m, tol: float | None = None) -> SvdResult:
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > tol * s[0]))
+        rank = int(np.count_nonzero(s > TOL * s[0]))
     return SvdResult(u=u, singular_values=s, v=vh.T, numeric_rank=rank)

@@ -10,9 +10,10 @@ decided there, once, by rank decisions on E, and every form built from it
 keeps that layout. For a standard system (E exactly I) that form is one
 real Schur form of A, with T = I; every reader takes it as it takes a QZ
 form. ``_classify`` reads the layout and the finite eigenvalues from the
-stored diagonal: the spectrum report reads it, and the additive
-decomposition reorders the finite pairs by a mask computed from it. The
-Weierstrass split needs no reordering at all.
+stored diagonal: the spectrum report reads it, with an imaginary-axis band
+set by ``util.TOL``, and the additive decomposition reorders the finite
+pairs by a mask computed from it. The Weierstrass split needs no
+reordering at all.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .kernels import (
     pencil_eigendata,
     solve_generalized_sylvester,
 )
-from .util import as_matrix, default_tol, fro, require_square
+from .util import TOL, as_matrix, fro, require_square
 
 __all__ = [
     "DescriptorSystem",
@@ -219,17 +220,16 @@ class SpectrumReport:
     margin: float
 
 
-def pencil_spectrum(s: DescriptorSystem, tol: float | None = None) -> SpectrumReport:
+def pencil_spectrum(s: DescriptorSystem) -> SpectrumReport:
     """Classify the pencil spectrum of a descriptor system.
 
     Stable means every finite eigenvalue has Re < 0 (infinite allowed);
     antistable means every eigenvalue is finite with Re > 0 (E regular).
-    Finite eigenvalues within the band |Re| <= tol * (1 + |lambda|) are
-    classified as axis eigenvalues; ``tol`` sets only that band. Reads the
-    diagonal of the Schur form stored at construction, whose layout fixed
-    which eigenvalues are infinite.
+    Finite eigenvalues within the band |Re| <= TOL * (1 + |lambda|) are
+    classified as axis eigenvalues. Reads the diagonal of the Schur form
+    stored at construction, whose layout fixed which eigenvalues are
+    infinite.
     """
-    tol = default_tol(tol)
     lam, infinite = _classify(s._schur)
     n_inf = int(np.count_nonzero(infinite))
     finite = lam[~infinite]
@@ -240,7 +240,7 @@ def pencil_spectrum(s: DescriptorSystem, tol: float | None = None) -> SpectrumRe
         margin = float("inf")
     else:
         margin = float(np.min(np.abs(finite.real)))
-    band = tol * (1.0 + np.abs(finite))
+    band = TOL * (1.0 + np.abs(finite))
     if finite.size and (np.abs(finite.real) <= band).any():
         cls = StabilityClass.AXIS_EIGENVALUE
     elif finite.size == 0 or (finite.real < 0).all():
@@ -281,11 +281,13 @@ def frequency_response(s: DescriptorSystem, omegas) -> np.ndarray:
         return np.broadcast_to(s.d.astype(complex), (k, s.p, s.m)).copy()
     step = max(1, _RESPONSE_BLOCK_BYTES // (16 * s.n * s.n))
     out = np.empty((k, s.p, s.m), dtype=complex)
+    # i omega E - A for one block, allocated once: the real part -A never
+    # changes, so each block rewrites only the imaginary part
+    buf = np.empty((min(step, k), s.n, s.n), dtype=complex)
+    np.negative(s.a, out=buf.real)
     for lo in range(0, k, step):
         ws = omegas[lo : lo + step]
-        # i omega E - A, written in place: one complex array per block
-        pencils = np.empty((ws.size, s.n, s.n), dtype=complex)
-        np.negative(s.a, out=pencils.real)
+        pencils = buf[: ws.size]
         np.multiply(ws[:, None, None], s.e, out=pencils.imag)
         try:
             # B as a stack of one matrix: NumPy 1.x would read a 2-D B
@@ -356,7 +358,7 @@ def rse_transform(p, s: DescriptorSystem, q) -> DescriptorSystem:
         if n == 0:
             continue
         sv = np.linalg.svd(m, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= default_tol() * sv[0]:
+        if sv[0] == 0.0 or sv[-1] <= TOL * sv[0]:
             raise SingularTransform(f"{name} is numerically rank-deficient")
     return DescriptorSystem(p @ s.e @ q, p @ s.a @ q, p @ s.b, s.c @ q, s.d)
 
@@ -365,7 +367,7 @@ def rse_transform(p, s: DescriptorSystem, q) -> DescriptorSystem:
 # Block split shared by the Weierstrass split and the additive decomposition
 
 
-def _block_split(s: DescriptorSystem, lead: np.ndarray, tol: float):
+def _block_split(s: DescriptorSystem, lead: np.ndarray):
     """Stored Schur form with the pairs ``lead`` marks first, plus Sylvester decoupling.
 
     ``lead`` marks finite pairs of the stored diagonal. LAPACK ``tgsen``
@@ -401,7 +403,7 @@ def _block_split(s: DescriptorSystem, lead: np.ndarray, tol: float):
     _regularity_check(oq.alpha, oq.beta, s.e, s.a)
     e1, e2, e3 = oq.et[:k, :k], oq.et[:k, k:], oq.et[k:, k:]
     a1, a2, a3 = oq.at[:k, :k], oq.at[:k, k:], oq.at[k:, k:]
-    r, l = solve_generalized_sylvester(a1, a3, e1, e3, a2, e2, tol)
+    r, l = solve_generalized_sylvester(a1, a3, e1, e3, a2, e2)
     # P = [[I, -L], [0, I]] U and Q = V [[I, R], [0, I]]
     p_mat, q_mat = oq.u.copy(), oq.v.copy()
     p_mat[:k] -= l @ oq.u[k:]
@@ -427,7 +429,7 @@ class WeierstrassSplit:
     coefficients: np.ndarray
 
 
-def weierstrass_split(s: DescriptorSystem, tol: float | None = None) -> WeierstrassSplit:
+def weierstrass_split(s: DescriptorSystem) -> WeierstrassSplit:
     """Split a system into its finite part and the polynomial part of its infinite one.
 
     The stored form leads with the finite pairs, so one Sylvester solve
@@ -437,11 +439,10 @@ def weierstrass_split(s: DescriptorSystem, tol: float | None = None) -> Weierstr
     i = 0) takes triangular solves only. A system without infinite
     eigenvalues is its own finite part.
     """
-    tol = default_tol(tol)
     k = s._schur.split
     if k == s.n:
         return WeierstrassSplit(finite=s, coefficients=s.d[None, :, :].copy())
-    oq, p_mat, q_mat = _block_split(s, np.arange(s.n) < k, tol)
+    oq, p_mat, q_mat = _block_split(s, np.arange(s.n) < k)
     b_t = p_mat @ s.b
     c_t = s.c @ q_mat
     t_inf, s_inf, c_inf = oq.et[k:, k:], oq.at[k:, k:], c_t[:, k:]
@@ -455,7 +456,7 @@ def weierstrass_split(s: DescriptorSystem, tol: float | None = None) -> Weierstr
     coeffs = [s.d + terms[0], *terms[1:]]
     # Trim trailing coefficients that vanish relative to their own
     # construction scale (products of already-computed factors).
-    while len(coeffs) > 1 and fro(coeffs[-1]) <= tol * (1.0 + scales[len(coeffs) - 1]):
+    while len(coeffs) > 1 and fro(coeffs[-1]) <= TOL * (1.0 + scales[len(coeffs) - 1]):
         coeffs.pop()
     finite = _diagonal_block(oq, 0, k, b_t[:k], c_t[:, :k], coeffs[0])
     return WeierstrassSplit(finite=finite, coefficients=np.stack(coeffs))
@@ -477,7 +478,7 @@ class AdditiveDecomposition:
     s_minus: DescriptorSystem
 
 
-def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> AdditiveDecomposition:
+def additive_decompose(s: DescriptorSystem) -> AdditiveDecomposition:
     """Split a system with no axis eigenvalues into stable + antistable parts.
 
     The transfer functions add: G = G_plus + G_minus on the whole axis.
@@ -485,11 +486,10 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
     spectrum touches the tolerance band around the imaginary axis. The
     antistable pairs are moved first, so the infinite ones never swap.
     """
-    tol = default_tol(tol)
-    rep = pencil_spectrum(s, tol)
+    rep = pencil_spectrum(s)
     if rep.stability_class is StabilityClass.AXIS_EIGENVALUE:
         fin = rep.finite_eigenvalues
-        offender = fin[np.argmin(np.abs(fin.real) - tol * (1.0 + np.abs(fin)))]
+        offender = fin[np.argmin(np.abs(fin.real) - TOL * (1.0 + np.abs(fin)))]
         raise AxisEigenvalue(complex(offender))
     if rep.stability_class is StabilityClass.STABLE:
         return AdditiveDecomposition(s_plus=s, s_minus=empty_system(s.m, s.p))
@@ -500,15 +500,15 @@ def additive_decompose(s: DescriptorSystem, tol: float | None = None) -> Additiv
     lam, infinite = _classify(s._schur)
     anti = ~infinite & (lam.real > 0.0)
     k = int(np.count_nonzero(anti))
-    oq, p_mat, q_mat = _block_split(s, anti, tol)
+    oq, p_mat, q_mat = _block_split(s, anti)
     b_t = p_mat @ s.b
     c_t = s.c @ q_mat
     s_minus = _diagonal_block(oq, 0, k, b_t[:k, :], c_t[:, :k], np.zeros((s.p, s.m)))
     s_plus = _diagonal_block(oq, k, s.n, b_t[k:, :], c_t[:, k:], s.d)
     # The split routed eigenvalues; reclassify to catch any that drifted
     # across the axis band on the way.
-    if pencil_spectrum(s_plus, tol).stability_class is not StabilityClass.STABLE:
+    if pencil_spectrum(s_plus).stability_class is not StabilityClass.STABLE:
         raise SpectrumViolation("separated slow part failed the stability check")
-    if pencil_spectrum(s_minus, tol).stability_class is not StabilityClass.ANTISTABLE:
+    if pencil_spectrum(s_minus).stability_class is not StabilityClass.ANTISTABLE:
         raise SpectrumViolation("separated fast part failed the antistability check")
     return AdditiveDecomposition(s_plus=s_plus, s_minus=s_minus)

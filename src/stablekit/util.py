@@ -1,4 +1,4 @@
-"""Small shared helpers: tolerance resolution and matrix validation."""
+"""Small shared helpers: the working tolerance and matrix validation."""
 
 from __future__ import annotations
 
@@ -6,20 +6,17 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = ["EPS", "default_tol", "as_matrix", "require_square", "fro"]
+__all__ = ["EPS", "TOL", "as_matrix", "require_square", "fro"]
 
 #: Machine epsilon for IEEE binary64, the only scalar type used.
 EPS = float(np.finfo(np.float64).eps)
 
-
-def default_tol(tol: float | None = None) -> float:
-    """Resolve an effective tolerance: the argument, else the default ``1e-10``."""
-    if tol is not None:
-        tol = float(tol)
-        if not (tol > 0.0) or not np.isfinite(tol):
-            raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
-        return tol
-    return 1e-10
+#: The working tolerance of the package's rank and band decisions: which
+#: eigenvalues are infinite (``kernels.pencil_eigendata``), the
+#: imaginary-axis band (``systems.pencil_spectrum``), numeric ranks
+#: (``kernels.svd``), residual checks, and the trimming of negligible
+#: polynomial coefficients. No call takes another.
+TOL = 1e-10
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:

@@ -63,7 +63,7 @@ from stablekit.synth import (
     random_orthogonal,
     random_unstable_system,
 )
-from stablekit.util import default_tol
+from stablekit.util import TOL
 
 # the package root's ``gramians`` is the function, not the module
 gramians_module = importlib.import_module("stablekit.gramians")
@@ -85,7 +85,7 @@ def transfer_eval(s, z):
     """Evaluate G(z) = C (zE - A)^{-1} B + D at one point.
 
     Raises AtPole when zE - A is numerically singular (condition number
-    beyond 1/tol territory).
+    beyond 1/TOL territory).
     """
     if s.n == 0:
         return s.d.astype(complex)
@@ -95,16 +95,16 @@ def transfer_eval(s, z):
     except np.linalg.LinAlgError as exc:
         raise AtPole(f"s = {z} is a pole of the transfer function", s=z) from exc
     cond = np.linalg.cond(pencil)
-    if not np.isfinite(cond) or cond > 1.0 / default_tol():
+    if not np.isfinite(cond) or cond > 1.0 / TOL:
         raise AtPole(
             f"s = {z} is numerically at a pole (condition number {cond:.3e})", s=z
         )
     return s.c @ x + s.d
 
 
-def response_at_infinity(s, tol=None):
+def response_at_infinity(s):
     """The limit of G(s) as s -> infinity, or None when G is unbounded there."""
-    coeffs = weierstrass_split(s, tol).coefficients
+    coeffs = weierstrass_split(s).coefficients
     if coeffs.shape[0] > 1:
         return None
     return coeffs[0]
@@ -127,7 +127,7 @@ def sample_norms(s, omegas):
     return out
 
 
-def linf_error_sequential(s1, s2, tol=None):
+def linf_error_sequential(s1, s2):
     """``linf_error`` with its three golden-section searches run one after another.
 
     The reference for the library's lockstep refinement: the same seed grid,
@@ -136,10 +136,9 @@ def linf_error_sequential(s1, s2, tol=None):
     has order 0. Reads the library's ``_SEED_POINTS`` and ``_RELTOL`` when
     called. Returns a ``FrequencyGrid`` that should match bit for bit.
     """
-    tol = default_tol(tol)
-    wmin, wmax = _default_band(s1, s2, tol=tol)
-    split1, split2 = weierstrass_split(s1, tol), weierstrass_split(s2, tol)
-    value_at_inf = _difference_at_infinity(split1.coefficients, split2.coefficients, tol)
+    wmin, wmax = _default_band(s1, s2)
+    split1, split2 = weierstrass_split(s1), weierstrass_split(s2)
+    value_at_inf = _difference_at_infinity(split1.coefficients, split2.coefficients)
     omegas = np.concatenate([[0.0], np.geomspace(wmin, wmax, gramians_module._SEED_POINTS)])
 
     def batch(ws):
@@ -430,32 +429,30 @@ class BalancedRealization:
     t_inv: np.ndarray
 
 
-def balanced_realization(
-    s: DescriptorSystem, tol: float = 1e-10
-) -> BalancedRealization:
+def balanced_realization(s: DescriptorSystem) -> BalancedRealization:
     """Square-root balancing of a minimal antistable standard system."""
     n = s.n
-    if np.linalg.norm(s.e - np.eye(n)) > tol * max(1.0, np.linalg.norm(s.e)):
+    if np.linalg.norm(s.e - np.eye(n)) > TOL * max(1.0, np.linalg.norm(s.e)):
         raise NotStandardForm("balancing requires E = I")
-    rep = pencil_spectrum(s, tol)
+    rep = pencil_spectrum(s)
     if rep.stability_class is not StabilityClass.ANTISTABLE:
         raise SpectrumViolation(
             f"balancing requires an antistable system, got {rep.stability_class.value}"
         )
-    gr = gramians(s, tol)
+    gr = gramians(s)
 
     def factor(gram: np.ndarray, which: str) -> np.ndarray:
         w, v = np.linalg.eigh(0.5 * (-(gram) + -(gram).T))
         if w.size == 0:
             return np.zeros((0, 0))
-        if w.min() <= tol * max(w.max(initial=0.0), 0.0) or w.max(initial=0.0) <= 0.0:
+        if w.min() <= TOL * max(w.max(initial=0.0), 0.0) or w.max(initial=0.0) <= 0.0:
             raise NotMinimal(f"{which} Gramian is numerically singular")
         return v * np.sqrt(w)
 
     up = factor(gr.xc, "controllability")
     lo = factor(gr.xo, "observability")
     w_svd, sig, vt = np.linalg.svd(lo.T @ up)
-    if sig.size == 0 or sig[-1] <= tol * sig[0]:
+    if sig.size == 0 or sig[-1] <= TOL * sig[0]:
         raise NotMinimal("Gramian cross factor is numerically rank-deficient")
     sig_isqrt = 1.0 / np.sqrt(sig)
     t = up @ vt.T * sig_isqrt
@@ -484,7 +481,7 @@ def balanced_realization(
     )
 
 
-def glover_oracle(s: DescriptorSystem, tol: float = 1e-10) -> DescriptorSystem:
+def glover_oracle(s: DescriptorSystem) -> DescriptorSystem:
     """Classical balanced-coordinates optimal approximant (cross-check).
 
     Balances the antistable system, splits off the sigma_1 group (size r),
@@ -498,7 +495,7 @@ def glover_oracle(s: DescriptorSystem, tol: float = 1e-10) -> DescriptorSystem:
 
     whose distance to the input is exactly h = sigma_1.
     """
-    bal = balanced_realization(s, tol)
+    bal = balanced_realization(s)
     n = s.n
     r = bal.r
     nb = n - r
@@ -520,7 +517,7 @@ def glover_oracle(s: DescriptorSystem, tol: float = 1e-10) -> DescriptorSystem:
         )
     u_m, *_ = np.linalg.lstsq(c2.T, -b2, rcond=None)
     resid = np.linalg.norm(c2.T @ u_m + b2)
-    if resid > tol * max(1.0, np.linalg.norm(b2)):
+    if resid > TOL * max(1.0, np.linalg.norm(b2)):
         raise AssertionError(
             f"C2^T U = -B2 is inconsistent (residual {resid:.3e}); "
             "the balanced form is unreliable"

@@ -34,7 +34,7 @@ from stablekit import (
     weierstrass_split,
 )
 from stablekit.cli import main
-from stablekit.util import default_tol
+from stablekit.util import TOL
 
 from oracles import (
     eval_transfer_np,
@@ -82,7 +82,7 @@ def assert_invariants(s, hsv, rtol=1e-7, check_order=True):
     r = solve_apinf(s)
     assert r.sigma1 == pytest.approx(hsv[0], rel=rtol)
     rep = pencil_spectrum(r.system)
-    assert rep.stability_class is StabilityClass.STABLE and rep.margin > default_tol()
+    assert rep.stability_class is StabilityClass.STABLE and rep.margin > TOL
     if check_order:
         assert r.system.n == dec.s_plus.n + dec.s_minus.n - hankel_multiplicity(hsv)
     grid = linf_error(s, r.system)
@@ -247,7 +247,7 @@ def test_eigenvalue_c_tol_from_the_axis(c):
     # above, so sigma_1 is simple at every c.
     rng = np.random.default_rng(71)
     im = 2.0
-    re = c * default_tol() * (1.0 + im)
+    re = c * TOL * (1.0 + im)
     a_near = np.array([[re, im], [-im, re]])
     s, (a_u, b_u, c_u), (b_near, c_near) = mixed_system(rng, np.eye(2), a_near)
     if c < 1.0:

@@ -22,7 +22,6 @@ from stablekit import (
 )
 from stablekit.cli import main
 from stablekit.synth import random_unstable_system
-from stablekit.util import default_tol
 
 from oracles import bumped_descriptor_system, eval_transfer_np
 
@@ -277,20 +276,6 @@ def test_csv_rejects_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# tolerance resolution
-
-
-def test_default_tol_precedence():
-    assert default_tol(None) == 1e-10
-    assert default_tol(1e-8) == 1e-8
-    assert default_tol(1e-12) == 1e-12
-    with pytest.raises(ValueError):
-        default_tol(-1e-10)
-    with pytest.raises(ValueError):
-        default_tol(0.0)
-
-
-# ---------------------------------------------------------------------------
 # CLI flows (subprocess level)
 
 
@@ -476,6 +461,18 @@ def test_cli_freqresp_matches_direct_evaluation(tmp_path):
         g = eval_transfer_np(s, 1j * row[0])
         flat = np.concatenate([[g[i, j].real, g[i, j].imag] for j in range(2) for i in range(2)])
         assert_allclose(row[1:], flat, atol=1e-12)
+
+
+def test_cli_freqresp_two_points_from_zero_end_at_wmax(tmp_path, capsys):
+    # the grid is omega = 0 plus a one-point log grid, which must be wmax
+    src, csv_out = tmp_path / "model.dsys", tmp_path / "resp.csv"
+    save_dsys(src, random_unstable_system(3, 1, seed=5))
+    report = run_main(
+        capsys, "freqresp", src, "--wmin", 0, "--wmax", 100, "--points", 2, "-o", csv_out
+    )
+    assert (report["points"], report["wmin"], report["wmax"]) == (2, 0.0, 100.0)
+    omegas = [float(row.split(",")[0]) for row in csv_out.read_text().splitlines()[1:]]
+    assert omegas == [0.0, 100.0]
 
 
 @pytest.mark.parametrize("points", [0, 1, -3])

@@ -60,7 +60,7 @@ def block_split(s, lead):
     """``_block_split`` of ``s`` by the mask ``lead`` picks on its stored diagonal,
     plus the size of the leading block."""
     mask = lead(*systems._classify(s._schur))
-    return (*systems._block_split(s, mask, 1e-10), int(np.count_nonzero(mask)))
+    return (*systems._block_split(s, mask), int(np.count_nonzero(mask)))
 
 
 def ordered(e, a, lead):

@@ -8,7 +8,10 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import stablekit
+from stablekit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -56,6 +59,31 @@ def test_package_root_exports_are_pinned():
         if not k.startswith("_") and not isinstance(v, types.ModuleType)
     )
     assert names == ROOT_EXPORTS
+
+
+def test_no_exported_function_takes_a_tolerance():
+    # every rank and band decision reads util.TOL
+    taking = [
+        name for name in ROOT_EXPORTS
+        if inspect.isfunction(fn := getattr(stablekit, name))
+        and "tol" in inspect.signature(fn).parameters
+    ]
+    assert taking == []
+
+
+@pytest.mark.parametrize("command", ["approx", "verify", "freqresp"])
+def test_cli_rejects_a_tolerance_flag(tmp_path, capsys, command):
+    src, out = tmp_path / "s.dsys", str(tmp_path / "out")
+    stablekit.save_dsys(src, stablekit.random_unstable_system(3, 1, seed=1))
+    argv = {
+        "approx": ["approx", str(src), "--norm", "hinf", "-o", out],
+        "verify": ["verify", str(src), str(src), "--norm", "hinf"],
+        "freqresp": ["freqresp", str(src), "-o", out],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-8"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_benchmark_tracer_wraps_the_pinned_functions():
