@@ -198,8 +198,7 @@ class _Parser(argparse.ArgumentParser):
     # usage errors to the generic failure code instead.
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,15 +250,16 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    command = {
-        "approx": cmd_approx,
-        "generate": cmd_generate,
-        "verify": cmd_verify,
-        "freqresp": cmd_freqresp,
-    }[args.command]
     try:
-        return command(args)
+        args = _PARSER.parse_args(argv)
+        return {
+            "approx": cmd_approx,
+            "generate": cmd_generate,
+            "verify": cmd_verify,
+            "freqresp": cmd_freqresp,
+        }[args.command](args)
+    except SystemExit as exc:  # from the parser: a usage error (1) or --help (0)
+        return exc.code
     except AxisEigenvalue as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -150,32 +150,30 @@ class HankelData:
 def hankel_sigma_max(s: DescriptorSystem, gr: GramianPair) -> HankelData:
     """sigma_1 = sqrt(max eig(Xc E^T Xo E)) via a symmetrized product.
 
-    When -Xc is (numerically) positive semidefinite the eigenvalues are
-    computed from the congruent symmetric matrix
+    The eigenvalues are computed from the congruent symmetric matrix
     (-Xc)^{1/2} E^T (-Xo) E (-Xc)^{1/2}, which preserves the nonnegativity
-    the theory guarantees; otherwise falls back to the direct nonsymmetric
-    eigensolve with real-part clamping.
+    the theory guarantees. A -Xc that is not (numerically) positive
+    semidefinite, or a spectrum below zero, raises NegativeSpectrum.
     """
     n = s.n
     if n == 0:
         return HankelData(sigma1=0.0, spectrum=np.zeros(0))
     neg_floor = TOL * max(fro(gr.xc) * fro(gr.xo), 1.0)
     wc, vc = np.linalg.eigh(0.5 * (-(gr.xc) + -(gr.xc).T))
-    if wc.min() >= -TOL * max(1.0, wc.max(initial=0.0)):
-        root = (vc * np.sqrt(np.clip(wc, 0.0, None))) @ vc.T
-        core = root @ s.e.T @ (-gr.xo) @ s.e @ root
-        mu = np.linalg.eigvalsh(0.5 * (core + core.T))
-    else:  # pragma: no cover - defensive; theory gives -Xc >= 0
-        mu = np.linalg.eigvals(gr.xc @ s.e.T @ gr.xo @ s.e).real
-    mu = np.sort(mu)[::-1]
-    if mu.size and mu[-1] < -neg_floor:
+    if wc.min() < -TOL * max(1.0, wc.max(initial=0.0)):
+        raise NegativeSpectrum(
+            f"-Xc is indefinite (eigenvalue {wc.min():.3e}); Gramian computation failed upstream"
+        )
+    root = (vc * np.sqrt(np.clip(wc, 0.0, None))) @ vc.T
+    core = root @ s.e.T @ (-gr.xo) @ s.e @ root
+    mu = np.sort(np.linalg.eigvalsh(0.5 * (core + core.T)))[::-1]
+    if mu[-1] < -neg_floor:
         raise NegativeSpectrum(
             f"Hankel spectrum has eigenvalue {mu[-1]:.3e} below -{neg_floor:.3e}; "
             "Gramian computation failed upstream"
         )
     mu = np.clip(mu, 0.0, None)
-    top = mu[0] if mu.size else 0.0
-    return HankelData(sigma1=math.sqrt(top), spectrum=mu)
+    return HankelData(sigma1=math.sqrt(mu[0]), spectrum=mu)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ and solves, on the diagonal blocks of a generalized Schur form and with no
 factorization of its own, the coupled generalized Sylvester equation that
 block-diagonalizes that form. Which eigenvalues of a pencil are infinite
 is decided once, by rank decisions on E against ``util.TOL``, when
-``pencil_eigendata`` builds the generalized Schur form: the infinite pairs
-go last, with beta exactly 0. Where the finite ones lie is read in
-``systems``, which also reorders a system's stored form; the Gramians'
-Lyapunov equations are solved in ``gramians``, on that stored form.
+``pencil_eigendata`` builds the generalized Schur form (a real Schur form
+for E exactly I, else one staircase, whose rank test passes a regular E
+on to a single QZ): the infinite pairs go last, with beta exactly 0.
+Where the finite ones lie is read in ``systems``, which also reorders a
+system's stored form; the Gramians' Lyapunov equations are solved in
+``gramians``, on that stored form.
 
 All operations are pure functions over immutable inputs.
 """
@@ -127,25 +129,27 @@ def _real_schur(a: np.ndarray):
     return s, z, wr + 1j * wi
 
 
-def _deflate_infinite(t, s, u, v, floor: float, a_floor: float, slack: float) -> int:
-    """Staircase deflation of the infinite eigenvalues of (T, S), in place.
+def _deflate_infinite(t, s, floor: float, a_floor: float, slack: float):
+    """Staircase deflation of the infinite eigenvalues of (T, S).
 
-    While the leading block of T, rank deficient on entry, has singular
-    values at or below ``floor``: rotate its rows by its left singular
-    vectors, zero the null rows, RQ-compress the same rows of S onto a
-    triangle R and shrink the block (Van Dooren, LAA 27, 1979). U and V
-    accumulate the rotations. Returns the size of the block left. An R_ii at
-    or below ``a_floor`` means a zero row in T and S: a singular pencil. S
-    must dominate the null rows, min |R_ii| * floor > ``slack`` * (largest
+    Each step tests the leading block of T for singular values at or below
+    ``floor``, without singular vectors; only a rank-deficient block is
+    decomposed: its rows are rotated by its left singular vectors, the null
+    rows zeroed, the same rows of S RQ-compressed onto a triangle R, and
+    the block shrinks (Van Dooren, LAA 27, 1979). Returns ``(T, S, U, V,
+    k)``, k the size of the block left and U, V the accumulated rotations;
+    without a step T and S come back uncopied, with U = V = None. An R_ii
+    at or below ``a_floor`` means a zero row in T and S: a singular pencil.
+    S must dominate the null rows, min |R_ii| * floor > ``slack`` * (largest
     null singular value); rows small in T and S alike belong to a badly
     scaled finite eigenvalue, so the staircase stops and QZ reads them.
     """
-    k = t.shape[0]
+    k, u, v = t.shape[0], None, None
     while k:
-        w, sv, _ = np.linalg.svd(t[:k, :k])
-        r = int(np.count_nonzero(sv > floor))
+        r = int(np.count_nonzero(np.linalg.svd(t[:k, :k], compute_uv=False) > floor))
         if r == k:
             break
+        w, sv, _ = np.linalg.svd(t[:k, :k])
         tri, q = scipy.linalg.rq(w[:, r:].T @ s[:k, :k])
         r_min = np.abs(np.diagonal(tri[:, r:])).min()
         if r_min <= a_floor:
@@ -155,6 +159,8 @@ def _deflate_infinite(t, s, u, v, floor: float, a_floor: float, slack: float) ->
             )
         if r_min * floor <= slack * sv[r]:
             break
+        if u is None:
+            t, s, u, v = t.copy(), s.copy(), np.eye(len(t)), np.eye(len(t))
         for m in (t, s, u):
             m[:k] = w.T @ m[:k]
         for m in (t[:k], s[:k], v):
@@ -162,9 +168,7 @@ def _deflate_infinite(t, s, u, v, floor: float, a_floor: float, slack: float) ->
         t[r:k, :k] = 0.0
         s[r:k, :k] = np.triu(s[r:k, :k], r)
         k = r
-        if (np.linalg.svd(t[:k, :k], compute_uv=False) > floor).all():
-            break
-    return k
+    return t, s, u, v, k
 
 
 def _empty_form() -> OrderedQz:
@@ -181,15 +185,15 @@ def pencil_eigendata(e, a) -> OrderedQz:
 
     Which eigenvalues are infinite is decided here, once, by rank decisions
     on E: singular values at or below max(TOL ||E||_F, ``_noise_floor``)
-    count as zero. When E is exactly the
-    identity and that floor is below 1, its singular values, all 1, need no
-    SVD, and the form is one real Schur form Z^T A Z = S by LAPACK ``gees``,
-    at a fraction of the cost of QZ: U = Z^T, V = Z, T = I and beta = 1.
-    With any other E of full numeric rank the form is one real QZ;
-    otherwise ``_deflate_infinite`` moves the infinite eigenvalues into a
-    trailing block and QZ runs on the leading one. Raises SingularPencil
-    when the pencil has no well-defined spectrum. The splits of ``systems``
-    reorder this form instead of factoring again.
+    count as zero. When E is exactly the identity and that floor is below
+    1, its singular values, all 1, need no SVD, and the form is one real
+    Schur form Z^T A Z = S by LAPACK ``gees``, at a fraction of the cost of
+    QZ: U = Z^T, V = Z, T = I and beta = 1. Every other E goes through
+    ``_deflate_infinite``, which moves the infinite eigenvalues into a
+    trailing block; QZ runs on the leading one, so an E of full numeric
+    rank costs one SVD without singular vectors and one QZ of (A, E).
+    Raises SingularPencil when the pencil has no well-defined spectrum.
+    ``systems`` reorders this form instead of factoring again.
     """
     e = as_matrix(e, "E")
     a = as_matrix(a, "A")
@@ -203,20 +207,19 @@ def pencil_eigendata(e, a) -> OrderedQz:
     if floor < 1.0 and np.array_equal(e, np.eye(n)):
         at, v, alpha = _real_schur(a)
         et, u, beta, k = e, v.T, np.ones(n), n
-    elif (np.linalg.svd(e, compute_uv=False) > floor).all():
-        at, et, alpha, beta, q, z = _qz(a, e)
-        u, v, k = q.T, z, n
     else:
-        et, at, u, v = e.copy(), a.copy(), np.eye(n), np.eye(n)
-        k = _deflate_infinite(
-            et, at, u, v, floor, max(TOL * fro(a), noise), math.sqrt(TOL) * fro(a)
-        )
+        a_floor, slack = max(TOL * fro(a), noise), math.sqrt(TOL) * fro(a)
+        et, at, u, v, k = _deflate_infinite(e, a, floor, a_floor, slack)
         alpha, beta = at.diagonal().astype(complex), np.zeros(n)
         if k:
-            at[:k, :k], et[:k, :k], alpha[:k], beta[:k], q, z = _qz(at[:k, :k], et[:k, :k])
-            et[:k, k:], at[:k, k:] = q.T @ et[:k, k:], q.T @ at[:k, k:]
-            u[:k] = q.T @ u[:k]
-            v[:, :k] = v[:, :k] @ z
+            ak, ek, alpha[:k], beta[:k], q, z = _qz(at[:k, :k], et[:k, :k])
+            if u is None:  # no staircase step: the form is the QZ of (A, E)
+                at, et, u, v = ak, ek, q.T, z
+            else:
+                at[:k, :k], et[:k, :k] = ak, ek
+                et[:k, k:], at[:k, k:] = q.T @ et[:k, k:], q.T @ at[:k, k:]
+                u[:k] = q.T @ u[:k]
+                v[:, :k] = v[:, :k] @ z
     _regularity_check(alpha, beta, e, a)
     return OrderedQz(u=u, v=v, et=et, at=at, split=k, alpha=alpha, beta=beta)
 
@@ -295,8 +298,5 @@ def svd(m) -> SvdResult:
             numeric_rank=0,
         )
     u, s, vh = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > TOL * s[0]))
+    rank = int(np.count_nonzero(s > TOL * s[0]))
     return SvdResult(u=u, singular_values=s, v=vh.T, numeric_rank=rank)

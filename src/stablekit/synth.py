@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .systems import DescriptorSystem, direct_sum, rse_transform
+from .systems import DescriptorSystem
 
 __all__ = [
     "random_orthogonal",
@@ -57,20 +57,6 @@ def _spectrum_block(rng: np.random.Generator, k: int, lo: float, hi: float) -> n
     return scipy.linalg.block_diag(*blocks)
 
 
-def _random_standard(
-    rng: np.random.Generator, a: np.ndarray, m: int, p: int
-) -> DescriptorSystem:
-    n = a.shape[0]
-    b = rng.standard_normal((n, m))
-    c = rng.standard_normal((p, n))
-    return DescriptorSystem(np.eye(n), a, b, c, np.zeros((p, m)))
-
-
-def _orthogonal_mix(t: np.ndarray, s: DescriptorSystem) -> DescriptorSystem:
-    """Orthogonal state-space similarity that keeps E = I bit-exact."""
-    return DescriptorSystem(np.eye(s.n), t @ s.a @ t.T, t @ s.b, s.c @ t.T, s.d)
-
-
 def random_unstable_system(
     n: int,
     n_unstable: int,
@@ -81,23 +67,24 @@ def random_unstable_system(
 ) -> DescriptorSystem:
     """Random standard system with exactly ``n_unstable`` eigenvalues in Re > 0.
 
-    With ``descriptor`` True the result is left-multiplied by a random
+    With ``descriptor`` True, E, A and B are left-multiplied by a random
     well-conditioned invertible matrix, producing a genuine descriptor pair
-    with the same spectrum and transfer function shape.
+    with the same spectrum and transfer function. The matrices are assembled
+    first, so the model is validated and factored by one constructor call.
     """
     if not 0 <= n_unstable <= n:
         raise ValueError(f"need 0 <= n_unstable <= n, got {n_unstable} of {n}")
     rng = _as_rng(seed)
-    a_stable = _spectrum_block(rng, n - n_unstable, -5.0, -0.1)
-    a_anti = _spectrum_block(rng, n_unstable, 0.1, 5.0)
-    s_stable = _random_standard(rng, a_stable, m, p)
-    s_anti = _random_standard(rng, a_anti, m, p)
-    s0 = direct_sum(s_stable, s_anti)
+    k = n - n_unstable
+    a = scipy.linalg.block_diag(
+        _spectrum_block(rng, k, -5.0, -0.1), _spectrum_block(rng, n_unstable, 0.1, 5.0)
+    )
+    b1, c1 = rng.standard_normal((k, m)), rng.standard_normal((p, k))
+    b2, c2 = rng.standard_normal((n_unstable, m)), rng.standard_normal((p, n_unstable))
     t = random_orthogonal(rng, n)
-    mixed = _orthogonal_mix(t, s0)
-    if not descriptor:
-        return mixed
-    u = random_orthogonal(rng, n)
-    v = random_orthogonal(rng, n)
-    w = (u * rng.uniform(0.6, 1.6, size=n)) @ v.T
-    return rse_transform(w, mixed, np.eye(n))
+    e, a, b, c = np.eye(n), t @ a @ t.T, t @ np.vstack([b1, b2]), np.hstack([c1, c2]) @ t.T
+    if descriptor:
+        u, v = random_orthogonal(rng, n), random_orthogonal(rng, n)
+        e = (u * rng.uniform(0.6, 1.6, size=n)) @ v.T
+        a, b = e @ a, e @ b
+    return DescriptorSystem(e, a, b, c, np.zeros((p, m)))

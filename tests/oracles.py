@@ -42,10 +42,12 @@ from stablekit import (
     FrequencyGrid,
     SpectrumViolation,
     StabilityClass,
+    direct_sum,
     empty_system,
     frequency_response,
     gramians,
     pencil_spectrum,
+    rse_transform,
     solve_generalized_sylvester,
     weierstrass_split,
 )
@@ -57,8 +59,6 @@ from stablekit.gramians import (
 )
 from stablekit.synth import (
     _as_rng,
-    _orthogonal_mix,
-    _random_standard,
     _spectrum_block,
     random_orthogonal,
     random_unstable_system,
@@ -377,12 +377,46 @@ def bumped_descriptor_system(seed, n=12, n_unstable=6):
     return DescriptorSystem(u @ e0 @ v, u @ a0 @ v, u @ b0, c0 @ v)
 
 
+def _random_standard(rng, a, m, p):
+    n = a.shape[0]
+    b = rng.standard_normal((n, m))
+    c = rng.standard_normal((p, n))
+    return DescriptorSystem(np.eye(n), a, b, c, np.zeros((p, m)))
+
+
+def _orthogonal_mix(t, s):
+    """Orthogonal state-space similarity that keeps E = I bit-exact."""
+    return DescriptorSystem(np.eye(s.n), t @ s.a @ t.T, t @ s.b, s.c @ t.T, s.d)
+
+
 def random_antistable_system(n, seed, m=1, p=1):
     """Random standard antistable system (all eigenvalue real parts in [0.1, 5])."""
     rng = _as_rng(seed)
     a = _spectrum_block(rng, n, 0.1, 5.0)
     s0 = _random_standard(rng, a, m, p)
     return _orthogonal_mix(random_orthogonal(rng, n), s0)
+
+
+def random_unstable_system_by_parts(n, n_unstable, seed, m=1, p=1, descriptor=False):
+    """``synth.random_unstable_system`` built from validated systems, piece by piece.
+
+    The same draws in the same order, through the public constructor at each
+    stage: a standard system per block, their direct sum, the orthogonal
+    mix and, with ``descriptor``, ``rse_transform`` by W on the left and I
+    on the right. The bitwise reference for the generator, which assembles
+    the matrices first and constructs once.
+    """
+    rng = _as_rng(seed)
+    a_stable = _spectrum_block(rng, n - n_unstable, -5.0, -0.1)
+    a_anti = _spectrum_block(rng, n_unstable, 0.1, 5.0)
+    s0 = direct_sum(_random_standard(rng, a_stable, m, p), _random_standard(rng, a_anti, m, p))
+    mixed = _orthogonal_mix(random_orthogonal(rng, n), s0)
+    if not descriptor:
+        return mixed
+    u = random_orthogonal(rng, n)
+    v = random_orthogonal(rng, n)
+    w = (u * rng.uniform(0.6, 1.6, size=n)) @ v.T
+    return rse_transform(w, mixed, np.eye(n))
 
 
 def random_antistable_tri(rng, n, lo=0.2, hi=3.0):

@@ -14,6 +14,8 @@ from numpy.testing import assert_allclose
 import stablekit.systems as systems
 from stablekit import (
     DescriptorSystem,
+    GramianPair,
+    NegativeSpectrum,
     NonFiniteSample,
     NonzeroFeedthrough,
     SpectrumViolation,
@@ -232,6 +234,15 @@ def test_hankel_zero_for_uncontrollable_direction():
     s = DescriptorSystem(np.eye(2), np.diag([1.0, 2.0]), np.zeros((2, 1)), np.ones((1, 2)))
     hd = hankel_sigma_max(s, gramians(s))
     assert hd.sigma1 == 0.0
+
+
+def test_hankel_rejects_an_indefinite_controllability_gramian():
+    # Xc Xo = I here, so a nonsymmetric eigensolve of the product reads
+    # sigma_1 = 1; an indefinite -Xc means the Gramians are wrong instead.
+    s = DescriptorSystem(np.eye(2), np.diag([1.0, 2.0]), np.ones((2, 1)), np.ones((1, 2)))
+    gr = GramianPair(xc=np.diag([-1.0, 1.0]), xo=np.diag([-1.0, 1.0]), residual_c=0.0, residual_o=0.0)
+    with pytest.raises(NegativeSpectrum, match="indefinite"):
+        hankel_sigma_max(s, gr)
 
 
 def test_hankel_invariant_under_system_equivalence():

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import stablekit.kernels as kernels
 import stablekit.systems as systems
 from stablekit import (
     ConvergenceFailure,
@@ -551,6 +552,56 @@ def test_failed_real_schur_raises_convergence_failure(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dgees", no_convergence)
     with pytest.raises(ConvergenceFailure, match="gees info 3"):
         DescriptorSystem(np.eye(3), np.diag([1.0, -2.0, 3.0]), np.ones((3, 1)), np.ones((1, 3)))
+
+
+def test_regular_e_is_one_qz_of_the_pencil():
+    # the staircase's rank test finds nothing to deflate, and the form is
+    # the QZ of (A, E) itself: no copy of E or A, no identity factors
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 7, 30):
+        e, a = random_regular(rng, n), rng.standard_normal((n, n))
+        form = pencil_eigendata(e, a)
+        at, et, alpha, beta, q, z = kernels._qz(a, e)
+        assert form.split == n
+        for got, want in zip(
+            (form.at, form.et, form.alpha, form.beta, form.u, form.v), (at, et, alpha, beta, q.T, z)
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def staircase_pencil(index, rng, n_finite=5):
+    """(E, A) with ``n_finite`` finite eigenvalues and one infinite Jordan chain
+    of length ``index`` (two chains of length 1 for index 1), mixed by random
+    regular factors; index 0 is a regular E."""
+    e_inf = np.zeros((2, 2)) if index == 1 else np.eye(index, k=1)
+    k = e_inf.shape[0]
+    e0 = scipy.linalg.block_diag(np.eye(n_finite), e_inf)
+    a0 = scipy.linalg.block_diag(rng.standard_normal((n_finite, n_finite)), np.eye(k))
+    p, q = random_regular(rng, n_finite + k), random_regular(rng, n_finite + k)
+    return p @ e0 @ q, p @ a0 @ q
+
+
+# np.linalg.svd calls allowed: a rank test per block and a full SVD per step
+SVD_CALL_BOUND = {0: 1, 1: 3, 2: 5, 3: 7}
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_staircase_runs_one_full_svd_per_step(monkeypatch, index):
+    e, a = staircase_pencil(index, np.random.default_rng(60 + index))
+    calls = []
+    svd_np = np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd_np(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    form = pencil_eigendata(e, a)
+    assert form.split == 5 and not form.beta[5:].any()
+    # one rank test per block, singular vectors only for a rank-deficient one
+    assert calls.count(True) == index
+    assert len(calls) <= SVD_CALL_BOUND[index]
 
 
 def test_pencil_eigendata_rejects_dimension_mismatch():

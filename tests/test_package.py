@@ -80,10 +80,23 @@ def test_cli_rejects_a_tolerance_flag(tmp_path, capsys, command):
         "verify": ["verify", str(src), str(src), "--norm", "hinf"],
         "freqresp": ["freqresp", str(src), "-o", out],
     }[command]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--tol", "1e-8"])
-    assert exc.value.code == 1
+    assert main([*argv, "--tol", "1e-8"]) == 1
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["approx", "model.dsys", "--norm", "hinf"], ["generate", "-n", "4"], ["verify"], []]
+)
+def test_cli_usage_error_returns_one(capsys, argv):
+    # a missing required argument fails the call, not the calling process
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stablekit") and "required" in err
+
+
+def test_cli_help_returns_zero(capsys):
+    assert main(["approx", "--help"]) == 0
+    assert "--norm" in capsys.readouterr().out
 
 
 def test_benchmark_tracer_wraps_the_pinned_functions():

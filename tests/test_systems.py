@@ -1,5 +1,6 @@
 """Descriptor-system model, spectra, transfer evaluation, and decomposition."""
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -40,6 +41,7 @@ from oracles import (
     eval_transfer_np,
     random_antistable_system,
     random_regular,
+    random_unstable_system_by_parts,
     response_at_infinity,
     transfer_eval,
 )
@@ -112,6 +114,40 @@ def test_construction_default_feedthrough_and_empty(monkeypatch):
         empty_system(2, 3, np.ones((2, 3)))
     with pytest.raises(ValueError):
         empty_system(1, 1, [[1j]])
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, u", [(n, u) for n in (0, 1, 3, 12, 40, 80) for u in sorted({0, min(n, 1), n // 2})]
+)
+def test_generator_matches_the_construction_by_parts(n, u):
+    for (m, p), descriptor in itertools.product(((1, 1), (2, 3)), (False, True)):
+        seed = 1000 * n + 10 * u + m
+        s = random_unstable_system(n, u, seed, m=m, p=p, descriptor=descriptor)
+        ref = random_unstable_system_by_parts(n, u, seed, m=m, p=p, descriptor=descriptor)
+        for name in ("e", "a", "b", "c", "d"):
+            assert_bitwise(getattr(s, name), getattr(ref, name))
+        assert s._schur.split == ref._schur.split
+        for name in ("u", "v", "et", "at", "alpha", "beta"):
+            assert_bitwise(getattr(s._schur, name), getattr(ref._schur, name))
+
+
+@pytest.mark.parametrize("descriptor", [False, True])
+def test_generator_factors_each_model_once(monkeypatch, descriptor):
+    calls = []
+    eigendata = systems.pencil_eigendata
+
+    def counting(e, a):
+        calls.append(e.shape[0])
+        return eigendata(e, a)
+
+    monkeypatch.setattr(systems, "pencil_eigendata", counting)
+    random_unstable_system(12, 5, seed=3, m=2, p=2, descriptor=descriptor)
+    assert calls == [12]
 
 
 def test_system_arrays_immutable():
