@@ -25,6 +25,7 @@ import scipy.linalg
 
 from .errors import (
     AtPole,
+    DimensionMismatch,
     NegativeSpectrum,
     NonFiniteSample,
     NonzeroFeedthrough,
@@ -378,7 +379,7 @@ def linf_error(s1: DescriptorSystem, s2: DescriptorSystem) -> FrequencyGrid:
     finite omega is not finite.
     """
     if s1.m != s2.m or s1.p != s2.p:
-        raise SpectrumViolation(
+        raise DimensionMismatch(
             "error norm needs matching input/output counts, got "
             f"({s1.m},{s1.p}) and ({s2.m},{s2.p})"
         )

@@ -6,11 +6,14 @@ and solves, on the diagonal blocks of a generalized Schur form and with no
 factorization of its own, the coupled generalized Sylvester equation that
 block-diagonalizes that form. Which eigenvalues of a pencil are infinite
 is decided once, by rank decisions on E against ``util.TOL``, when
-``pencil_eigendata`` builds the generalized Schur form (a real Schur form
-for E exactly I, else one staircase, whose rank test passes a regular E
-on to a single QZ): the infinite pairs go last, with beta exactly 0.
-Where the finite ones lie is read in ``systems``, which also reorders a
-system's stored form; the Gramians' Lyapunov equations are solved in
+``pencil_eigendata`` builds the generalized Schur form: the infinite pairs
+go last, with beta exactly 0. The singular values of that rank test also
+pick the route. An E of full numeric rank with sigma_max(E) <= ``_KAPPA``
+sigma_min(E) (10) is served by one sorted real Schur form of E^{-1} A,
+which puts the antistable pairs first; every other E goes through one
+staircase and an unsorted QZ. Where the finite eigenvalues lie is read in
+``systems``, which also reorders a system's stored form when its order is
+not the one a split needs; the Gramians' Lyapunov equations are solved in
 ``gramians``, on that stored form.
 
 All operations are pure functions over immutable inputs.
@@ -116,37 +119,103 @@ def _qz(a: np.ndarray, e: np.ndarray):
         raise ConvergenceFailure(f"QZ iteration failed: {exc}") from exc
 
 
-def _no_sort(wr, wi):
-    return 0
+#: Largest condition number sigma_max(E) / sigma_min(E) for which
+#: ``pencil_eigendata`` factors E^{-1} A by one real Schur form instead of
+#: running QZ on (A, E). Forming E^{-1} A adds a backward error of about
+#: cond(E) eps ||A||, which at 10 stays within one digit of QZ's.
+_KAPPA = 10.0
 
 
-def _real_schur(a: np.ndarray):
-    """Real Schur form Z^T A Z = S by LAPACK ``gees``, unsorted: (S, Z, eigenvalues)."""
-    lwork = int(scipy.linalg.lapack.dgees(_no_sort, a, lwork=-1)[-2][0])
-    s, _, wr, wi, z, _, info = scipy.linalg.lapack.dgees(_no_sort, a, lwork=lwork)
-    if info != 0:
-        raise ConvergenceFailure(f"real Schur iteration failed (gees info {info})")
+def _antistable(wr, wi):
+    return wr > 0.0
+
+
+def _real_schur(f: np.ndarray):
+    """Real Schur form Z^T F Z = S by LAPACK ``gees``, eigenvalues with Re > 0 first.
+
+    Returns (S, Z, eigenvalues), the eigenvalues in diagonal order. ``gees``
+    orders the form by the standard reordering of ``trsen`` (Bai & Demmel,
+    LAA 186, 1993). Its info n + 2 says that roundoff moved a sorted
+    eigenvalue across the axis: the form is still valid, and the additive
+    split, which reads the order from the returned eigenvalues, reorders
+    what it must.
+    """
+    n = f.shape[0]
+    lwork = int(scipy.linalg.lapack.dgees(_antistable, f, lwork=-1)[-2][0])
+    s, _, wr, wi, z, _, info = scipy.linalg.lapack.dgees(_antistable, f, lwork=lwork, sort_t=1)
+    if info and info != n + 2:
+        what = "reordering the real Schur form" if info == n + 1 else "real Schur iteration"
+        raise ConvergenceFailure(f"{what} failed (gees info {info})")
     return s, z, wr + 1j * wi
 
 
-def _deflate_infinite(t, s, floor: float, a_floor: float, slack: float):
+def _standardize_pairs(t, s_f, u, v) -> None:
+    """Make the 2x2 diagonal blocks of T diagonal and nonnegative, in place.
+
+    The blocks sit where the quasi-triangular S_F has a subdiagonal entry.
+    The SVD P diag(sigma) W^T of each block of T gives the rotations: the
+    rows of T and U turn by P^T, the rows of S_F by W^T, and the columns of
+    T, S_F and V by W, so T S_F and U E V = T keep their meaning and the
+    entries below both diagonals stay exactly zero.
+    """
+    j = np.flatnonzero(s_f.diagonal(-1))
+    if not j.size:
+        return
+    idx = np.stack([j, j + 1], axis=1)
+    block = (idx[:, :, None], idx[:, None, :])
+    p, sigma, wt = np.linalg.svd(t[block])
+    pt = p.transpose(0, 2, 1)
+    for m, g in ((t, pt), (u, pt), (s_f, wt), (t.T, wt), (s_f.T, wt), (v.T, wt)):
+        m[idx] = g @ m[idx]
+    t[block] = sigma[:, :, None] * np.eye(2)
+
+
+def _sorted_schur(e: np.ndarray, a: np.ndarray, identity: bool) -> OrderedQz:
+    """The form of a pencil with a well-conditioned E, antistable pairs first.
+
+    F = E^{-1} A (one LU solve) has the pencil's eigenvalues; its sorted
+    real Schur form Z^T F Z = S_F and the QR factorization E Z = Q R give
+    U = Q^T, V = Z, T = R and S = R S_F, exactly quasi-triangular because R
+    is upper triangular. T's diagonal is made nonnegative and its 2x2 blocks
+    diagonal, LAPACK's canonical form. For E exactly I, F = A and the form
+    is the real Schur form itself, T = I. beta is T's diagonal and alpha
+    the eigenvalues of F times beta, so a 1x1 block stores its own pair and
+    the pairs scale with (E, A), as QZ's do; beta = 1 when T = I.
+    """
+    n = a.shape[0]
+    if identity:
+        s_f, z, alpha = _real_schur(a)
+        return OrderedQz(u=z.T, v=z, et=e, at=s_f, split=n, alpha=alpha, beta=np.ones(n))
+    s_f, z, alpha = _real_schur(np.linalg.solve(e, a))
+    q, t = np.linalg.qr(e @ z)
+    u = q.T
+    signs = np.copysign(1.0, t.diagonal())[:, None]
+    t *= signs
+    u *= signs
+    _standardize_pairs(t, s_f, u, z)
+    beta = t.diagonal().copy()
+    return OrderedQz(u=u, v=z, et=t, at=t @ s_f, split=n, alpha=alpha * beta, beta=beta)
+
+
+def _deflate_infinite(t, s, sv, floor: float, a_floor: float, slack: float):
     """Staircase deflation of the infinite eigenvalues of (T, S).
 
     Each step tests the leading block of T for singular values at or below
-    ``floor``, without singular vectors; only a rank-deficient block is
-    decomposed: its rows are rotated by its left singular vectors, the null
-    rows zeroed, the same rows of S RQ-compressed onto a triangle R, and
-    the block shrinks (Van Dooren, LAA 27, 1979). Returns ``(T, S, U, V,
-    k)``, k the size of the block left and U, V the accumulated rotations;
-    without a step T and S come back uncopied, with U = V = None. An R_ii
-    at or below ``a_floor`` means a zero row in T and S: a singular pencil.
-    S must dominate the null rows, min |R_ii| * floor > ``slack`` * (largest
-    null singular value); rows small in T and S alike belong to a badly
-    scaled finite eigenvalue, so the staircase stops and QZ reads them.
+    ``floor``, without singular vectors (``sv`` holds those of the whole T,
+    computed by the caller); only a rank-deficient block is decomposed: its
+    rows are rotated by its left singular vectors, the null rows zeroed,
+    the same rows of S RQ-compressed onto a triangle R, and the block
+    shrinks (Van Dooren, LAA 27, 1979). Returns ``(T, S, U, V, k)``, k the
+    size of the block left and U, V the accumulated rotations; without a
+    step T and S come back uncopied, with U = V = None. An R_ii at or below
+    ``a_floor`` means a zero row in T and S: a singular pencil. S must
+    dominate the null rows, min |R_ii| * floor > ``slack`` * (largest null
+    singular value); rows small in T and S alike belong to a badly scaled
+    finite eigenvalue, so the staircase stops and QZ reads them.
     """
     k, u, v = t.shape[0], None, None
     while k:
-        r = int(np.count_nonzero(np.linalg.svd(t[:k, :k], compute_uv=False) > floor))
+        r = int(np.count_nonzero(sv > floor))
         if r == k:
             break
         w, sv, _ = np.linalg.svd(t[:k, :k])
@@ -168,6 +237,8 @@ def _deflate_infinite(t, s, floor: float, a_floor: float, slack: float):
         t[r:k, :k] = 0.0
         s[r:k, :k] = np.triu(s[r:k, :k], r)
         k = r
+        if k:
+            sv = np.linalg.svd(t[:k, :k], compute_uv=False)
     return t, s, u, v, k
 
 
@@ -185,13 +256,19 @@ def pencil_eigendata(e, a) -> OrderedQz:
 
     Which eigenvalues are infinite is decided here, once, by rank decisions
     on E: singular values at or below max(TOL ||E||_F, ``_noise_floor``)
-    count as zero. When E is exactly the identity and that floor is below
-    1, its singular values, all 1, need no SVD, and the form is one real
-    Schur form Z^T A Z = S by LAPACK ``gees``, at a fraction of the cost of
-    QZ: U = Z^T, V = Z, T = I and beta = 1. Every other E goes through
-    ``_deflate_infinite``, which moves the infinite eigenvalues into a
-    trailing block; QZ runs on the leading one, so an E of full numeric
-    rank costs one SVD without singular vectors and one QZ of (A, E).
+    count as zero. One SVD of E without singular vectors (none for E
+    exactly I, whose singular values are all 1) picks the route:
+
+    * E of full numeric rank with sigma_max(E) <= ``_KAPPA`` sigma_min(E):
+      ``_sorted_schur`` factors E^{-1} A by one real Schur form (LAPACK
+      ``gees``) and a QR factorization, at a fraction of the cost of QZ.
+      The antistable pairs lead, so the additive split reorders nothing.
+      An E of full rank makes the pencil regular, so nothing is checked.
+    * every other E: ``_deflate_infinite``, whose first rank test reads
+      the same singular values, moves the infinite eigenvalues into a
+      trailing block, and QZ runs, unsorted, on the leading one; an E of
+      full numeric rank costs one QZ of (A, E).
+
     Raises SingularPencil when the pencil has no well-defined spectrum.
     ``systems`` reorders this form instead of factoring again.
     """
@@ -204,22 +281,22 @@ def pencil_eigendata(e, a) -> OrderedQz:
         return _empty_form()
     noise = _noise_floor(e, a)
     floor = max(TOL * fro(e), noise)
-    if floor < 1.0 and np.array_equal(e, np.eye(n)):
-        at, v, alpha = _real_schur(a)
-        et, u, beta, k = e, v.T, np.ones(n), n
-    else:
-        a_floor, slack = max(TOL * fro(a), noise), math.sqrt(TOL) * fro(a)
-        et, at, u, v, k = _deflate_infinite(e, a, floor, a_floor, slack)
-        alpha, beta = at.diagonal().astype(complex), np.zeros(n)
-        if k:
-            ak, ek, alpha[:k], beta[:k], q, z = _qz(at[:k, :k], et[:k, :k])
-            if u is None:  # no staircase step: the form is the QZ of (A, E)
-                at, et, u, v = ak, ek, q.T, z
-            else:
-                at[:k, :k], et[:k, :k] = ak, ek
-                et[:k, k:], at[:k, k:] = q.T @ et[:k, k:], q.T @ at[:k, k:]
-                u[:k] = q.T @ u[:k]
-                v[:, :k] = v[:, :k] @ z
+    identity = np.array_equal(e, np.eye(n))
+    sv = np.ones(n) if identity else np.linalg.svd(e, compute_uv=False)
+    if sv[-1] > floor and sv[0] <= _KAPPA * sv[-1]:
+        return _sorted_schur(e, a, identity)
+    a_floor, slack = max(TOL * fro(a), noise), math.sqrt(TOL) * fro(a)
+    et, at, u, v, k = _deflate_infinite(e, a, sv, floor, a_floor, slack)
+    alpha, beta = at.diagonal().astype(complex), np.zeros(n)
+    if k:
+        ak, ek, alpha[:k], beta[:k], q, z = _qz(at[:k, :k], et[:k, :k])
+        if u is None:  # no staircase step: the form is the QZ of (A, E)
+            at, et, u, v = ak, ek, q.T, z
+        else:
+            at[:k, :k], et[:k, :k] = ak, ek
+            et[:k, k:], at[:k, k:] = q.T @ et[:k, k:], q.T @ at[:k, k:]
+            u[:k] = q.T @ u[:k]
+            v[:, :k] = v[:, :k] @ z
     _regularity_check(alpha, beta, e, a)
     return OrderedQz(u=u, v=v, et=et, at=at, split=k, alpha=alpha, beta=beta)
 

@@ -7,13 +7,16 @@ G(s) = C (sE - A)^{-1} B + D. E may be singular as long as the pencil
 Every system keeps the generalized Schur form of (E, A) from its
 construction, laid out as [finite | infinite]: which pairs are infinite is
 decided there, once, by rank decisions on E, and every form built from it
-keeps that layout. For a standard system (E exactly I) that form is one
-real Schur form of A, with T = I; every reader takes it as it takes a QZ
-form. ``_classify`` reads the layout and the finite eigenvalues from the
-stored diagonal: the spectrum report reads it, with an imaginary-axis band
-set by ``util.TOL``, and the additive decomposition reorders the finite
-pairs by a mask computed from it. The Weierstrass split needs no
-reordering at all.
+keeps that layout. When E has full rank and sigma_max(E) <= ``_KAPPA``
+sigma_min(E) (``kernels._KAPPA``, 10), which includes every standard
+system (E exactly I, where T = I), that form comes from one real Schur
+form of E^{-1} A sorted with the antistable pairs first; every other E
+gets an unsorted QZ form. Every reader takes either as it takes a QZ form.
+``_classify`` reads the layout and the finite eigenvalues from the stored
+diagonal: the spectrum report reads it, with an imaginary-axis band set by
+``util.TOL``, and the additive decomposition reorders the finite pairs by
+a mask computed from it, which a sorted form already meets. The
+Weierstrass split needs no reordering at all.
 """
 
 from __future__ import annotations
@@ -273,9 +276,11 @@ def frequency_response(s: DescriptorSystem, omegas) -> np.ndarray:
     Returns a (k, p, m) complex array. The frequencies are solved in stacked
     blocks of about ``_RESPONSE_BLOCK_BYTES`` of pencils each, so a long grid
     costs a few LAPACK batches rather than k Python-level calls, and its
-    memory does not grow with k.
+    memory does not grow with k. Raises ValueError on a non-finite frequency.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
+    if not np.isfinite(omegas).all():
+        raise ValueError("frequencies must be finite")
     k = omegas.shape[0]
     if s.n == 0:
         return np.broadcast_to(s.d.astype(complex), (k, s.p, s.m)).copy()
@@ -370,7 +375,8 @@ def rse_transform(p, s: DescriptorSystem, q) -> DescriptorSystem:
 def _block_split(s: DescriptorSystem, lead: np.ndarray):
     """Stored Schur form with the pairs ``lead`` marks first, plus Sylvester decoupling.
 
-    ``lead`` marks finite pairs of the stored diagonal. LAPACK ``tgsen``
+    ``lead`` marks finite pairs of the stored diagonal. Unless they lead
+    already, as the antistable pairs of a sorted form do, LAPACK ``tgsen``
     (ijob = 0; Kagstrom & Poromaa, Numer. Algorithms 12, 1996) moves them to
     the front and updates U and V, so no QZ runs; a swap too ill-conditioned
     to keep the form raises ConvergenceFailure. The infinite pairs trail

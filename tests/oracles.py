@@ -363,6 +363,14 @@ def random_regular(rng, n, spread=(0.5, 2.0)):
     return (q1 * rng.uniform(spread[0], spread[1], size=n)) @ q2
 
 
+def random_conditioned(rng, n, cond):
+    """Random n x n matrix whose singular values run log-evenly from 1 down to
+    1 / ``cond``, so its condition number is ``cond`` (1 when n = 1)."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q1 * np.geomspace(1.0, 1.0 / cond, n)) @ q2
+
+
 def bumped_descriptor_system(seed, n=12, n_unstable=6):
     """Seeded system with complex pairs (2x2 bumps) on both sides of the axis
     and an index-2 nilpotent block, mixed by random orthogonal factors."""

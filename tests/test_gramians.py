@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 import stablekit.systems as systems
 from stablekit import (
     DescriptorSystem,
+    DimensionMismatch,
     GramianPair,
     NegativeSpectrum,
     NonFiniteSample,
@@ -405,6 +406,18 @@ def test_linf_error_of_identical_systems_is_zero():
     s = random_unstable_system(4, 2, seed=23)
     grid = linf_error(s, s)
     assert grid.max_value == 0.0
+
+
+def test_linf_error_rejects_a_port_count_mismatch(tmp_path, capsys):
+    s = random_unstable_system(4, 2, seed=23, m=2, p=2)
+    for other in (random_unstable_system(3, 1, seed=24, m=1, p=2), empty_system(2, 1)):
+        with pytest.raises(DimensionMismatch, match="matching input/output counts"):
+            linf_error(s, other)
+    save_dsys(tmp_path / "g.dsys", s)
+    save_dsys(tmp_path / "h.dsys", random_unstable_system(3, 0, seed=24, m=1, p=2))
+    argv = ["verify", str(tmp_path / "g.dsys"), str(tmp_path / "h.dsys"), "--norm", "hinf"]
+    assert main(argv) == 1
+    assert "matching input/output counts" in capsys.readouterr().err
 
 
 def test_linf_stable_under_grid_refinement(monkeypatch):

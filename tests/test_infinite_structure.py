@@ -33,6 +33,7 @@ from stablekit import (
     solve_apinf,
     weierstrass_split,
 )
+import stablekit.kernels as kernels
 from stablekit.cli import main
 from stablekit.util import TOL
 
@@ -185,15 +186,9 @@ def test_nilpotent_index3_meets_the_invariants(seed):
     assert_invariants(s, hankel_values_standard(*anti))
 
 
-@STRESS
-@given(seed=SEEDS)
-def test_huge_eigenvalue_with_cond_e_1e10_meets_the_invariants(seed):
-    # E = P diag(sv) Q with sv from 1 down to 1e-10 and A = P diag(a) Q: the
-    # pencil eigenvalues a_i / sv_i reach 1e10. The last one lies at the
-    # rank floor and is read as infinite; it is stable, so that reading
-    # moves only the stable part, by s * 1e-10 relative.
-    rng = np.random.default_rng(seed)
-    n = 8
+def huge_eigenvalue_system(rng, n=8):
+    """P diag(sv) Q, P diag(a) Q with sv from 1 down to 1e-10; returns the
+    system, sv, a and the unmixed B and C."""
     sv = np.logspace(0, -10, n)
     a = rng.uniform(0.5, 3.0, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
     a[0], a[-1] = abs(a[0]), -abs(a[-1])
@@ -201,7 +196,33 @@ def test_huge_eigenvalue_with_cond_e_1e10_meets_the_invariants(seed):
     c = rng.standard_normal((2, n))
     p = random_regular(rng, n, spread=(1.0, 1.0))
     q = random_regular(rng, n, spread=(1.0, 1.0))
-    s = DescriptorSystem(p @ np.diag(sv) @ q, p @ np.diag(a) @ q, p @ b, c @ q)
+    return DescriptorSystem(p @ np.diag(sv) @ q, p @ np.diag(a) @ q, p @ b, c @ q), sv, a, b, c
+
+
+def row_scaled_system(rng, n_s=4, n_u=3):
+    """(W, W A0, W B0, C0) with cond(W) = 1e10 and (A0, B0, C0) standard with
+    n_s stable and n_u antistable eigenvalues; returns the system, or None when
+    it is read as singular, and (A0, B0, C0)."""
+    a0 = scipy.linalg.block_diag(-random_antistable_tri(rng, n_s), random_antistable_tri(rng, n_u))
+    b0 = rng.standard_normal((n_s + n_u, 2))
+    c0 = rng.standard_normal((2, n_s + n_u))
+    u = random_regular(rng, n_s + n_u, spread=(1.0, 1.0))
+    v = random_regular(rng, n_s + n_u, spread=(1.0, 1.0))
+    w = (u * np.logspace(0, -10, n_s + n_u)) @ v
+    try:
+        return DescriptorSystem(w, w @ a0, w @ b0, c0), (a0, b0, c0)
+    except SingularPencil:
+        return None, (a0, b0, c0)
+
+
+@STRESS
+@given(seed=SEEDS)
+def test_huge_eigenvalue_with_cond_e_1e10_meets_the_invariants(seed):
+    # E = P diag(sv) Q with sv from 1 down to 1e-10 and A = P diag(a) Q: the
+    # pencil eigenvalues a_i / sv_i reach 1e10. The last one lies at the
+    # rank floor and is read as infinite; it is stable, so that reading
+    # moves only the stable part, by s * 1e-10 relative.
+    s, sv, a, b, c = huge_eigenvalue_system(np.random.default_rng(seed))
     assert np.linalg.cond(s.e) == pytest.approx(1e10, rel=1e-3)
     assert pencil_spectrum(s).n_infinite == 1
     anti = a > 0
@@ -220,21 +241,33 @@ def test_row_scaled_pencil_with_cond_e_1e10_is_read_or_rejected(seed):
     # and within tol of a singular pencil. Either reading is allowed; a
     # wrong one is not. Backward errors grow by cond(W), so the transfer and
     # sigma_1 are compared at 1e-5.
-    rng = np.random.default_rng(seed)
-    n_s, n_u = 4, 3
-    a0 = scipy.linalg.block_diag(-random_antistable_tri(rng, n_s), random_antistable_tri(rng, n_u))
-    b0 = rng.standard_normal((n_s + n_u, 2))
-    c0 = rng.standard_normal((2, n_s + n_u))
-    hsv = hankel_values_standard(a0[n_s:, n_s:], b0[n_s:], c0[:, n_s:])
-    u = random_regular(rng, n_s + n_u, spread=(1.0, 1.0))
-    v = random_regular(rng, n_s + n_u, spread=(1.0, 1.0))
-    w = (u * np.logspace(0, -10, n_s + n_u)) @ v
-    try:
-        s = DescriptorSystem(w, w @ a0, w @ b0, c0)
-    except SingularPencil:
+    n_s = 4
+    s, (a0, b0, c0) = row_scaled_system(np.random.default_rng(seed), n_s)
+    if s is None:
         return
+    hsv = hankel_values_standard(a0[n_s:, n_s:], b0[n_s:], c0[:, n_s:])
     assert pencil_spectrum(s).n_infinite == 0
     assert_invariants(s, hsv, rtol=1e-5)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ill_conditioned_e_is_factored_by_qz(monkeypatch, seed):
+    # cond(E) = 1e10 is far above kernels._KAPPA: both families keep the
+    # staircase and one QZ of the finite block, not the sorted real Schur form
+    sizes = []
+    qz = kernels._qz
+
+    def counted(a, e):
+        sizes.append(a.shape[0])
+        return qz(a, e)
+
+    monkeypatch.setattr(kernels, "_qz", counted)
+    huge_eigenvalue_system(np.random.default_rng(seed))
+    assert sizes == [7]
+    sizes.clear()
+    # a pencil read as singular is rejected by the staircase, before any QZ
+    s, _ = row_scaled_system(np.random.default_rng(seed))
+    assert sizes == ([] if s is None else [7])
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 1e3, 1e4, 1e6])

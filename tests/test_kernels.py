@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import stablekit.kernels as kernels
@@ -17,12 +19,14 @@ from stablekit import (
     SingularPencil,
     SpectrumViolation,
     additive_decompose,
+    direct_sum,
     frequency_response,
     gramians,
     pencil_eigendata,
     pencil_spectrum,
     random_orthogonal,
     random_unstable_system,
+    solve_ap2,
     solve_apinf,
     solve_generalized_sylvester,
     svd,
@@ -33,8 +37,10 @@ from stablekit.util import EPS, fro
 from oracles import (
     assert_eigen_multisets_close,
     bumped_descriptor_system,
+    eval_transfer_np,
     pencil_eigenvalues_np,
     random_antistable_tri,
+    random_conditioned,
     random_regular,
     sylvester_on_general_pencils,
 )
@@ -166,9 +172,15 @@ def test_failed_reorder_raises_convergence_failure(monkeypatch, tmp_path, capsys
     from stablekit.cli import main
     from stablekit.dsysio import save_dsys
 
-    # the stored form leaves two stable pairs ahead of antistable ones
-    # here, so the additive split must reorder
-    s = random_unstable_system(8, 3, seed=6, m=2, p=2)
+    # (W, W A, W B, C) with cond(W) = 100 > _KAPPA is factored by QZ, whose
+    # unsorted form leaves stable pairs ahead of antistable ones here, so
+    # the additive split must reorder
+    g = random_unstable_system(8, 3, seed=6, m=2, p=2)
+    w = random_conditioned(np.random.default_rng(6), 8, 100.0)
+    s = DescriptorSystem(w, w @ g.a, w @ g.b, g.c, g.d)
+    lam, infinite = systems._classify(s._schur)
+    anti = ~infinite & (lam.real > 0.0)
+    assert not anti[: np.count_nonzero(anti)].all()
     path = tmp_path / "s.dsys"
     save_dsys(path, s)
     tgsen = scipy.linalg.lapack.dtgsen
@@ -509,16 +521,19 @@ def test_identity_e_is_factored_by_one_real_schur_form(n, u, seed):
 @pytest.mark.parametrize(
     "n, u, seed, factor", [(12, 3, 1, None), (20, 10, 2, None), (30, 2, 3, 1.01), (16, 8, 4, 1.01)]
 )
-def test_identity_e_and_qz_route_agree(n, u, seed, factor):
-    # (W, W A, W B, C) with orthogonal W realizes the same transfer, and QZ factors it
+def test_identity_e_and_qz_route_agree(monkeypatch, n, u, seed, factor):
+    # (W, W A, W B, C) with orthogonal W realizes the same transfer, and
+    # QZ factors it once _KAPPA = 0 closes the sorted real Schur route
     s = random_unstable_system(n, u, seed, m=2, p=2)
+    r = solve_apinf(s, gamma_factor=factor)
+    monkeypatch.setattr(kernels, "_KAPPA", 0.0)
     w = random_orthogonal(np.random.default_rng(seed + 100), n)
     s_qz = DescriptorSystem(w, w @ s.a, w @ s.b, s.c, s.d)
     assert not np.array_equal(s_qz._schur.et, np.eye(n))
     assert_eigen_multisets_close(
         pencil_spectrum(s).finite_eigenvalues, pencil_spectrum(s_qz).finite_eigenvalues, tol=1e-10
     )
-    r, r_qz = solve_apinf(s, gamma_factor=factor), solve_apinf(s_qz, gamma_factor=factor)
+    r_qz = solve_apinf(s_qz, gamma_factor=factor)
     assert r.sigma1 == pytest.approx(r_qz.sigma1, rel=1e-12)
     assert r.system.n == r_qz.system.n
     omegas = np.geomspace(1e-2, 1e2, 41)
@@ -554,12 +569,157 @@ def test_failed_real_schur_raises_convergence_failure(monkeypatch):
         DescriptorSystem(np.eye(3), np.diag([1.0, -2.0, 3.0]), np.ones((3, 1)), np.ones((1, 3)))
 
 
+# ---------------------------------------------------------------------------
+# The sorted real Schur route: cond(E) <= _KAPPA
+
+SORTED = settings(max_examples=24, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def well_conditioned_systems(draw):
+    """(E, E A, E B, C, D) with cond(E) <= _KAPPA, from a random standard model;
+    cond(E) stays 0.1% clear of _KAPPA, which the computed singular values
+    could otherwise cross by roundoff."""
+    n = draw(st.sampled_from([1, 2, 7, 30]))
+    m, p = draw(st.sampled_from([(1, 1), (2, 3)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    g = random_unstable_system(n, draw(st.integers(0, n)), rng, m, p)
+    e = random_conditioned(rng, n, draw(st.floats(1.0, 0.999 * kernels._KAPPA)))
+    return e, e @ g.a, e @ g.b, g.c, g.d
+
+
+@SORTED
+@given(data=well_conditioned_systems())
+def test_sorted_route_keeps_the_stored_form_contract(data):
+    s = DescriptorSystem(*data)
+    f, n = s._schur, s.n
+    eye = np.eye(n)
+    assert np.linalg.norm(f.u @ f.u.T - eye) <= 1e-13
+    assert np.linalg.norm(f.v.T @ f.v - eye) <= 1e-13
+    assert np.linalg.norm(f.u @ s.e @ f.v - f.et) <= 1e-13 * np.linalg.norm(s.e)
+    assert np.linalg.norm(f.u @ s.a @ f.v - f.at) <= 1e-13 * np.linalg.norm(s.a)
+    # T upper triangular and S quasi-triangular, with exact zeros below
+    assert not np.tril(f.et, -1).any()
+    assert not np.tril(f.at, -2).any()
+    sub = f.at.diagonal(-1) != 0.0
+    assert not (sub[1:] & sub[:-1]).any()
+    # T's diagonal is nonnegative and its 2x2 blocks are diagonal
+    assert (f.et.diagonal() >= 0.0).all()
+    assert not f.et.diagonal(1)[sub].any()
+    assert f.split == n and np.array_equal(f.beta, f.et.diagonal())
+    # the antistable pairs lead, so the additive split reorders nothing
+    lam = f.alpha / f.beta
+    anti = lam.real > 0.0
+    assert anti[: np.count_nonzero(anti)].all()
+    assert_eigen_multisets_close(lam, pencil_eigenvalues_np(s.e, s.a), tol=1e-8)
+
+
+@SORTED
+@given(data=well_conditioned_systems(), factor=st.sampled_from([None, 1.01]))
+def test_sorted_route_and_qz_agree(data, factor):
+    s = DescriptorSystem(*data)
+    r, h2 = solve_apinf(s, gamma_factor=factor), solve_ap2(s)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_KAPPA", 0.0)
+        s_qz = DescriptorSystem(*data)
+        r_qz, h2_qz = solve_apinf(s_qz, gamma_factor=factor), solve_ap2(s_qz)
+    assert r.sigma1 == pytest.approx(r_qz.sigma1, rel=1e-12, abs=0.0)
+    for w in (0.0, 0.1, 1.0, 10.0):
+        for got, want in ((r.system, r_qz.system), (h2.system, h2_qz.system)):
+            g, g_qz = eval_transfer_np(got, 1j * w), eval_transfer_np(want, 1j * w)
+            assert np.abs(g - g_qz).max() <= 1e-11 * (1.0 + np.abs(g_qz).max())
+
+
+def test_sorted_route_pairs_scale_with_the_pencil():
+    # beta is T's diagonal, so the noise-floor regularity test of the split
+    # sees pairs at the scale of (E, A): a pencil scaled by 1e14 still splits
+    s = random_unstable_system(8, 3, seed=4, m=2, p=2, descriptor=True)
+    big = DescriptorSystem(1e14 * s.e, 1e14 * s.a, s.b, s.c, s.d)
+    assert np.array_equal(big._schur.beta, big._schur.et.diagonal())
+    assert_eigen_multisets_close(
+        pencil_spectrum(big).finite_eigenvalues, pencil_spectrum(s).finite_eigenvalues, tol=1e-12
+    )
+    assert additive_decompose(big).s_minus.n == 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sorted_forms_that_lose_their_order_split_through_tgsen(monkeypatch, seed):
+    # the mirror of a sorted form leads with its stable pairs, and a direct
+    # sum puts the first system's stable pairs ahead of the second's
+    # antistable ones: both reorder, and still split exactly
+    s1 = random_unstable_system(12, 5, seed, m=2, p=2, descriptor=True)
+    s2 = random_unstable_system(9, 4, seed + 100, m=2, p=2, descriptor=True)
+    calls = []
+    tgsen = scipy.linalg.lapack.dtgsen
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return tgsen(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtgsen", counted)
+    additive_decompose(s1)
+    assert calls == []
+    for s in (systems._mirror(s1), direct_sum(s1, s2)):
+        calls.clear()
+        dec = additive_decompose(s)
+        assert calls == [s.n]
+        for w in (0.0, 0.3, 1.0, 3.0, 10.0):
+            g = eval_transfer_np(s, 1j * w)
+            parts = eval_transfer_np(dec.s_plus, 1j * w) + eval_transfer_np(dec.s_minus, 1j * w)
+            assert np.linalg.norm(g - parts) <= 1e-13 * np.linalg.norm(g)
+
+
+def gees_returning(info_of_n, monkeypatch):
+    gees = scipy.linalg.lapack.dgees
+
+    def patched(*args, **kwargs):
+        *out, info = gees(*args, **kwargs)
+        return (*out, info_of_n(np.shape(args[1])[0]) if kwargs.get("sort_t") else info)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees", patched)
+
+
+def test_failed_sorted_reorder_raises_convergence_failure(monkeypatch):
+    s = random_unstable_system(10, 4, seed=8, descriptor=True)
+    gees_returning(lambda n: n + 1, monkeypatch)
+    with pytest.raises(ConvergenceFailure, match="reordering the real Schur form failed"):
+        DescriptorSystem(s.e, s.a, s.b, s.c)
+
+
+def test_sorted_route_accepts_an_eigenvalue_moved_across_the_axis(monkeypatch):
+    # gees info n + 2: the reordered form is valid, only a sorted eigenvalue
+    # changed sides; the split reads the order from the stored eigenvalues
+    s = random_unstable_system(10, 4, seed=8, descriptor=True)
+    gees_returning(lambda n: n + 2, monkeypatch)
+    t = DescriptorSystem(s.e, s.a, s.b, s.c)
+    for a, b in zip((t._schur.at, t._schur.et, t._schur.u), (s._schur.at, s._schur.et, s._schur.u)):
+        assert np.array_equal(a, b)
+    assert additive_decompose(t).s_minus.n == 4
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_staircase_pencils_are_factored_by_one_qz(monkeypatch, index):
+    e, a = staircase_pencil(index, np.random.default_rng(60 + index))
+    sizes = []
+    qz = kernels._qz
+
+    def counted(a, e):
+        sizes.append(a.shape[0])
+        return qz(a, e)
+
+    monkeypatch.setattr(kernels, "_qz", counted)
+    pencil_eigendata(e, a)
+    assert sizes == [5]
+
+
 def test_regular_e_is_one_qz_of_the_pencil():
-    # the staircase's rank test finds nothing to deflate, and the form is
-    # the QZ of (A, E) itself: no copy of E or A, no identity factors
+    # with cond(E) = 100 > _KAPPA the staircase's rank test finds nothing to
+    # deflate, and the form is the QZ of (A, E) itself: no copy of E or A,
+    # no identity factors
     rng = np.random.default_rng(59)
-    for n in (1, 2, 7, 30):
-        e, a = random_regular(rng, n), rng.standard_normal((n, n))
+    for n in (2, 7, 30):
+        e, a = random_conditioned(rng, n, 100.0), rng.standard_normal((n, n))
         form = pencil_eigendata(e, a)
         at, et, alpha, beta, q, z = kernels._qz(a, e)
         assert form.split == n
@@ -573,10 +733,12 @@ def test_regular_e_is_one_qz_of_the_pencil():
 def staircase_pencil(index, rng, n_finite=5):
     """(E, A) with ``n_finite`` finite eigenvalues and one infinite Jordan chain
     of length ``index`` (two chains of length 1 for index 1), mixed by random
-    regular factors; index 0 is a regular E."""
+    regular factors; index 0 is a regular E with cond(E) > _KAPPA, which the
+    staircase serves too."""
     e_inf = np.zeros((2, 2)) if index == 1 else np.eye(index, k=1)
     k = e_inf.shape[0]
-    e0 = scipy.linalg.block_diag(np.eye(n_finite), e_inf)
+    e_fin = np.diag(np.geomspace(1.0, 1e-3, n_finite)) if index == 0 else np.eye(n_finite)
+    e0 = scipy.linalg.block_diag(e_fin, e_inf)
     a0 = scipy.linalg.block_diag(rng.standard_normal((n_finite, n_finite)), np.eye(k))
     p, q = random_regular(rng, n_finite + k), random_regular(rng, n_finite + k)
     return p @ e0 @ q, p @ a0 @ q
@@ -598,6 +760,7 @@ def test_staircase_runs_one_full_svd_per_step(monkeypatch, index):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     form = pencil_eigendata(e, a)
+    assert np.linalg.cond(e) > kernels._KAPPA
     assert form.split == 5 and not form.beta[5:].any()
     # one rank test per block, singular vectors only for a rank-deficient one
     assert calls.count(True) == index

@@ -243,6 +243,14 @@ def test_frequency_response_matches_pointwise_eval():
         assert_allclose(resp[k], eval_transfer_np(s, 1j * w), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_frequency_response_rejects_non_finite_frequencies(n):
+    s = random_unstable_system(n, 1 if n else 0, seed=3)
+    for bad in ([np.inf, np.nan], [1.0, -np.inf], np.nan):
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            frequency_response(s, bad)
+
+
 def test_frequency_response_blocks_match_one_stacked_solve():
     s = random_unstable_system(40, 4, seed=41, m=2, p=3)
     step = systems._RESPONSE_BLOCK_BYTES // (16 * s.n * s.n)
@@ -648,6 +656,7 @@ def test_stored_schur_form_on_every_construction_path(seed):
     r = solve_apinf(s)
     paths = {
         "public constructor": s,
+        "sorted real Schur form": random_unstable_system(12, 5, seed, m=2, p=2, descriptor=True),
         "stable block": dec.s_plus,
         "antistable block": dec.s_minus,
         "direct sum": direct_sum(dec.s_plus, dec.s_minus),
